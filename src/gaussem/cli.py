@@ -387,13 +387,21 @@ def _cmd_sample_dump(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser, model: bool = True) -> None:
     if model:
         sp.add_argument("--model", required=True, help="model spec, e.g. sk, pspin:3, rem")
         sp.add_argument("--n", type=int, default=None, help="system size")
     sp.add_argument("--seed", type=int, default=int(os.environ.get(SEED_ENV, "0")),
                     help=f"master seed (default: ${SEED_ENV} or 0)")
-    sp.add_argument("--threads", type=int, default=1, help="parallel draw evaluation")
+    sp.add_argument("--threads", type=_positive_int, default=1,
+                    help="parallel draw evaluation (at most one worker per CPU)")
     sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -63,27 +63,33 @@ class DisorderDraw:
 class StructuralSampler:
     """Draws the model's independent couplings and applies the linear map.
 
-    Exact for every built-in model.  Overlap models cost one matrix-vector
-    product per draw; the identity map of the independent-energies model is
-    skipped, and tree models sum their branch couplings along the leaf paths
-    in layer order (grem.sample_grem), so they never build the dense map and
-    their draws do not depend on the BLAS kernel's summation order.
+    Exact for every built-in model.  Overlap models (sk, pspin, mixed) read
+    all n_couplings normals g, fold them onto the k distinct Walsh
+    characters of the coupling map, a = bincount(idx, coef * g), and return
+    X @ a (CouplingStructure.compact); the dense 2**n x n_couplings map is
+    never built, and the draw equals W @ g up to summation rounding.  The
+    identity map of the independent-energies model is skipped, and tree
+    models sum their branch couplings along the leaf paths in layer order
+    (grem.sample_grem), so their draws do not depend on the BLAS kernel's
+    summation order.
     """
 
     def __init__(self, model: CovarianceModel):
         self.model = model
         self.n = model.n
         if model.kind in ("rem", "grem"):
-            self._weights = None
+            self._chars = None
         else:
-            self._weights = model.coupling_structure().weight_matrix()
+            self._chars, self._idx, self._coef = model.coupling_structure().compact()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.model.kind == "grem":
             return sample_grem(self.model.tree, rng)
-        if self._weights is None:
+        if self._chars is None:
             return rng.standard_normal(1 << self.n)
-        return self._weights @ rng.standard_normal(self._weights.shape[1])
+        g = rng.standard_normal(self._idx.size)
+        a = np.bincount(self._idx, self._coef * g, minlength=self._chars.shape[1])
+        return self._chars @ a
 
 
 class CholeskySampler:

@@ -10,6 +10,7 @@ Gaussians to the energy vector via ``coupling_structure``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Real
 from typing import Callable, Mapping
@@ -30,18 +31,32 @@ from .util import popcount
 #: largest n for which dense 2**n x 2**n covariance matrices may be built
 MATRIX_CAP = 12
 
+#: largest number of elements a coupling map, dense or compact, may hold
+COUPLING_CAP = 50_000_000
+
 WEIGHT_SUM_TOL = 1e-12
 
 
 class CouplingStructure:
-    """Independent Gaussian couplings plus the linear map to the energy vector."""
+    """Independent Gaussian couplings plus the linear map to the energy vector.
+
+    ``weight_matrix`` is the dense (2**n, n_couplings) map W with E = W @ g.
+    Overlap models also carry the compact form ``(X, idx, coef)`` of the
+    same map: every coupling column is a Walsh character chi_S(sigma) =
+    prod_{i in S} sigma_i, X holds the k distinct characters as columns in
+    ascending order of the bit mask S, and W[:, j] = coef[j] * X[:, idx[j]].
+    Samplers use the compact form, so the dense map is only a small-n oracle.
+    """
 
     def __init__(self, description: str, n: int, groups: tuple[tuple[str, int], ...],
-                 build: Callable[[], np.ndarray]):
+                 build: Callable[[], np.ndarray],
+                 build_compact: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+                 | None = None):
         self.description = description
         self.n = n
         self.groups = groups
         self._build = build
+        self._build_compact = build_compact
         self._matrix: np.ndarray | None = None
 
     @property
@@ -53,6 +68,12 @@ class CouplingStructure:
         if self._matrix is None:
             self._matrix = self._build()
         return self._matrix
+
+    def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, idx, coef) with W[:, j] = coef[j] * X[:, idx[j]]; see the class docstring."""
+        if self._build_compact is None:
+            raise UnsupportedModel(f"{self.description} has no character form")
+        return self._build_compact()
 
     def __repr__(self) -> str:
         return f"CouplingStructure({self.description!r}, n={self.n}, couplings={self.n_couplings})"
@@ -67,12 +88,43 @@ def _config_signs(n: int) -> np.ndarray:
 def _tensor_rows(signs: np.ndarray, p: int) -> np.ndarray:
     """Row-wise p-fold tensor power: row c is the flattened outer power of signs[c]."""
     rows, n = signs.shape
-    if rows * n**p > 50_000_000:
+    if rows * n**p > COUPLING_CAP:
         raise ResourceCapExceeded(f"coupling tensor of order {p} too large at n={n}")
     out = signs
     for _ in range(p - 1):
         out = (out[:, :, None] * signs[:, None, :]).reshape(rows, -1)
     return out
+
+
+def _character_form(n: int, scales: Mapping[int, float]):
+    """Compact coupling map (X, idx, coef) of the order-p couplings scaled by scales[p].
+
+    Coupling (i1, .., ip), flattened like ``_tensor_rows``, is the character
+    of the index set S appearing an odd number of times, so its |S| has the
+    parity of p and is at most min(p, n); that fixes k before anything is
+    allocated.
+    """
+    sizes = {s for p in scales for s in range(p % 2, min(p, n) + 1, 2)}
+    k = sum(math.comb(n, s) for s in sizes)
+    n_couplings = sum(n**p for p in scales)
+    if max((1 << n) * k, n_couplings) > COUPLING_CAP:
+        raise ResourceCapExceeded(
+            f"character map 2**{n} x {k} with {n_couplings} couplings exceeds "
+            f"the budget of {COUPLING_CAP} elements"
+        )
+    bits = 1 << np.arange(n, dtype=np.int64)
+    masks = []
+    for p in scales:
+        m = np.zeros(1, dtype=np.int64)
+        for _ in range(p):
+            m = (m[:, None] ^ bits[None, :]).ravel()
+        masks.append(m)
+    chars, idx = np.unique(np.concatenate(masks), return_inverse=True)
+    c = np.arange(1 << n, dtype=np.int64)
+    # chi_S(c) = (-1)**(|S| - |S & c|): one factor -1 per coordinate of S that is down
+    parity = (np.bitwise_count(c[:, None] & chars[None, :]) + np.bitwise_count(chars)) & 1
+    coef = np.concatenate([np.full(n**p, scale) for p, scale in scales.items()])
+    return 1.0 - 2.0 * parity, idx, coef
 
 
 class CovarianceModel:
@@ -135,15 +187,30 @@ class CovarianceModel:
 
 
 class _OverlapPolynomialModel(CovarianceModel):
-    """Covariance psi(q) for a polynomial psi with rational coefficients."""
+    """Covariance psi(q) = sum_p w_p q**p with rational weights ``orders = {p: w_p}``.
+
+    The order-p couplings J[i1..ip] enter as sqrt(w_p) n**(-p/2) J s_i1..s_ip,
+    so the covariance depends on a pair only through its XOR and every
+    coupling column is a Walsh character.
+    """
 
     count_reducible = True
+    orders: dict[int, int | Fraction]
 
     def psi(self, q: Fraction) -> Fraction:
-        raise NotImplementedError
+        # exact audits call this per count class: skip the unit weight and the
+        # zero start, each of which costs a full Fraction operation
+        total = None
+        for p, w in self.orders.items():
+            term = q**p if w == 1 else w * q**p
+            total = term if total is None else total + term
+        return total
 
     def psi_float(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        out = np.zeros_like(q, dtype=float)
+        for p, w in self.orders.items():
+            out += float(w) * q**p
+        return out
 
     def covariance(self, sigma: SpinConfig, tau: SpinConfig) -> Fraction:
         self._check_sizes(sigma, tau)
@@ -156,28 +223,26 @@ class _OverlapPolynomialModel(CovarianceModel):
     def at_size(self, n: int) -> "CovarianceModel":
         return type(self)(n)
 
+    def coupling_structure(self) -> CouplingStructure:
+        n = self.n
+        scales = {p: np.sqrt(float(w)) * n ** (-p / 2) for p, w in self.orders.items()}
+
+        def build() -> np.ndarray:
+            signs = _config_signs(n)
+            return np.hstack([scale * _tensor_rows(signs, p) for p, scale in scales.items()])
+
+        groups = tuple((f"J[i1..i{p}] scaled by sqrt(w_{p}) n**(-{p}/2)", n**p) for p in scales)
+        return CouplingStructure(
+            "E = sum_p sqrt(w_p) n**(-p/2) sum J[i1..ip] s_i1..s_ip", n, groups, build,
+            lambda: _character_form(n, scales),
+        )
+
 
 class SKModel(_OverlapPolynomialModel):
     """Full pair-interaction model: all n**2 couplings, covariance q**2."""
 
     kind = "sk"
-
-    def psi(self, q: Fraction) -> Fraction:
-        return q * q
-
-    def psi_float(self, q: np.ndarray) -> np.ndarray:
-        return q**2
-
-    def coupling_structure(self) -> CouplingStructure:
-        n = self.n
-
-        def build() -> np.ndarray:
-            return _tensor_rows(_config_signs(n), 2) / n
-
-        return CouplingStructure(
-            f"{n * n} pair couplings J[i,j], E = (1/n) sum_ij J[i,j] s_i s_j",
-            n, (("J[i,j]", n * n),), build,
-        )
+    orders = {2: 1}
 
     def spec_string(self) -> str:
         return "sk"
@@ -208,26 +273,10 @@ class PSpinModel(_OverlapPolynomialModel):
         if int(p) != p or p < 1:
             raise ValidationError(f"interaction order must be a positive integer, got {p!r}")
         self.p = int(p)
-
-    def psi(self, q: Fraction) -> Fraction:
-        return q**self.p
-
-    def psi_float(self, q: np.ndarray) -> np.ndarray:
-        return q**self.p
+        self.orders = {self.p: 1}
 
     def at_size(self, n: int) -> "PSpinModel":
         return PSpinModel(n, self.p)
-
-    def coupling_structure(self) -> CouplingStructure:
-        n, p = self.n, self.p
-
-        def build() -> np.ndarray:
-            return _tensor_rows(_config_signs(n), p) * n ** (-p / 2)
-
-        return CouplingStructure(
-            f"{n**p} order-{p} couplings, E = n**(-{p}/2) sum J[i1..ip] s_i1..s_ip",
-            n, ((f"J[i1..i{p}]", n**p),), build,
-        )
 
     def spec_string(self) -> str:
         return f"pspin:{self.p}"
@@ -260,39 +309,17 @@ class MixedModel(_OverlapPolynomialModel):
             problems.append(f"weights sum to {float(total)!r}, expected 1")
         if problems:
             raise ValidationError("; ".join(problems))
-        self.weights = clean
+        self.orders = clean
 
-    def psi(self, q: Fraction) -> Fraction:
-        return sum((w * q**p for p, w in self.weights.items()), Fraction(0))
-
-    def psi_float(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(q, dtype=float)
-        for p, w in self.weights.items():
-            out += float(w) * q**p
-        return out
+    @property
+    def weights(self) -> dict[int, Fraction]:
+        return self.orders
 
     def at_size(self, n: int) -> "MixedModel":
-        return MixedModel(n, self.weights)
-
-    def coupling_structure(self) -> CouplingStructure:
-        n = self.n
-        weights = self.weights
-
-        def build() -> np.ndarray:
-            signs = _config_signs(n)
-            blocks = [
-                np.sqrt(float(w)) * _tensor_rows(signs, p) * n ** (-p / 2)
-                for p, w in weights.items()
-            ]
-            return np.hstack(blocks)
-
-        groups = tuple((f"sqrt(w_{p})-weighted order-{p}", n**p) for p in weights)
-        return CouplingStructure(
-            "concatenated per-order couplings scaled by sqrt(w_p)", n, groups, build,
-        )
+        return MixedModel(n, self.orders)
 
     def spec_string(self) -> str:
-        parts = ",".join(f"{p}={_weight_str(w)}" for p, w in self.weights.items())
+        parts = ",".join(f"{p}={_weight_str(w)}" for p, w in self.orders.items())
         return f"mixed:{parts}"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
@@ -36,8 +37,12 @@ def extract_map(n: int, mask: int) -> np.ndarray:
 
 
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    """Order-preserving map; the result is identical for any thread count."""
-    if threads and threads > 1:
+    """Order-preserving map; the result is identical for any thread count.
+
+    The pool never has more workers than the machine has CPUs.
+    """
+    threads = min(threads, os.cpu_count() or 1)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, items))
     return [fn(x) for x in items]

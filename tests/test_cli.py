@@ -180,6 +180,11 @@ def test_usage_errors_return_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_threads_must_be_positive(capsys):
+    assert main(["alpha", "--model", "sk", "--n", "3", "--beta", "1", "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0

@@ -20,7 +20,15 @@ from gaussem.disorder import (
 )
 from gaussem.errors import DimensionMismatch, ValidationError
 from gaussem.grem import validate_tree
-from gaussem.models import CouplingStructure, CustomModel, GREMModel, PSpinModel, REMModel, SKModel
+from gaussem.models import (
+    CouplingStructure,
+    CustomModel,
+    GREMModel,
+    MixedModel,
+    PSpinModel,
+    REMModel,
+    SKModel,
+)
 from gaussem.spins import CoordinatePartition
 from gaussem.util import extract_map
 
@@ -71,6 +79,22 @@ def test_structural_grem_never_builds_weight_matrix(monkeypatch):
     sampler = StructuralSampler(GREMModel(tree))
     e = sampler.sample(POLICY.stream("grem-nomap", 0))
     assert e.shape == (32,)
+    assert np.isfinite(e).all()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SKModel(6), PSpinModel(6, 3), MixedModel(6, {2: 0.5, 4: 0.5})],
+    ids=["sk", "pspin:3", "mixed:2+4"],
+)
+def test_structural_overlap_never_builds_weight_matrix(monkeypatch, model):
+    def refuse(self):
+        raise AssertionError("overlap sampling built the dense coupling map")
+
+    monkeypatch.setattr(CouplingStructure, "weight_matrix", refuse)
+    sampler = StructuralSampler(model)
+    e = sampler.sample(POLICY.stream("overlap-nomap", 0))
+    assert e.shape == (64,)
     assert np.isfinite(e).all()
 
 

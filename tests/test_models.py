@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussem.errors import MissingData, UnsupportedModel, ValidationError
+from gaussem.disorder import SeedPolicy, StructuralSampler
+from gaussem.errors import MissingData, ResourceCapExceeded, UnsupportedModel, ValidationError
 from gaussem.models import (
+    COUPLING_CAP,
     CustomModel,
     GREMModel,
     MixedModel,
@@ -147,6 +151,63 @@ def test_mixed_unit_self_variance_symbolically():
 def test_weight_matrix_gram_equals_covariance(model):
     w = model.coupling_structure().weight_matrix()
     np.testing.assert_allclose(w @ w.T, model.covariance_matrix(), atol=1e-12)
+
+
+@st.composite
+def overlap_models(draw):
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["sk", "pspin", "mixed"]))
+    if kind == "sk":
+        return SKModel(n)
+    if kind == "pspin":
+        return PSpinModel(n, draw(st.integers(1, 4)))
+    orders = draw(st.sets(st.integers(1, 4), min_size=1))
+    parts = {p: draw(st.integers(1, 9)) for p in sorted(orders)}
+    total = sum(parts.values())
+    return MixedModel(n, {p: Fraction(k, total) for p, k in parts.items()})
+
+
+@settings(derandomize=True, deadline=None)
+@given(model=overlap_models(), draw_index=st.integers(0, 1000))
+def test_character_form_matches_dense_map(model, draw_index):
+    structure = model.coupling_structure()
+    x, idx, coef = structure.compact()
+    w = structure.weight_matrix()
+    np.testing.assert_array_equal(w, x[:, idx] * coef)
+    policy = SeedPolicy(7)
+    rng_chars = policy.stream("chars", draw_index)
+    rng_dense = policy.stream("chars", draw_index)
+    e = StructuralSampler(model).sample(rng_chars)
+    np.testing.assert_allclose(e, w @ rng_dense.standard_normal(structure.n_couplings),
+                               rtol=0, atol=1e-13)
+    assert rng_chars.standard_normal() == rng_dense.standard_normal()
+
+
+def test_character_counts():
+    # k = sum of C(n, s) over the subset sizes s an order-p coupling can leave
+    x, idx, coef = SKModel(8).coupling_structure().compact()
+    assert x.shape == (256, 29) and idx.shape == coef.shape == (64,)
+    mixed = MixedModel(10, {2: Fraction(1, 2), 4: Fraction(1, 2)})
+    x, idx, _ = mixed.coupling_structure().compact()
+    assert x.shape == (1024, 256) and idx.shape == (10100,)
+    assert np.unique(idx).size == 256
+
+
+def test_coupling_maps_refuse_beyond_budget():
+    # 2**20 x 191 characters: refused from the counts, nothing is allocated
+    with pytest.raises(ResourceCapExceeded):
+        SKModel(20).coupling_structure().compact()
+    with pytest.raises(ResourceCapExceeded):
+        StructuralSampler(SKModel(20))
+    # the dense map would be 4096 x 20736, the character map is 4096 x 562
+    model = PSpinModel(12, 4)
+    assert 4096 * 20736 > COUPLING_CAP
+    with pytest.raises(ResourceCapExceeded):
+        model.coupling_structure().weight_matrix()
+    x, _, _ = model.coupling_structure().compact()
+    assert x.shape == (4096, 562)
+    e = StructuralSampler(model).sample(SeedPolicy(3).stream("p4", 0))
+    assert e.shape == (4096,) and np.isfinite(e).all()
 
 
 def test_custom_model_checks():
