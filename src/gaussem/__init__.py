@@ -25,11 +25,8 @@ from .disorder import (
     StructuralSampler,
     TripleSampler,
     draw_disorder,
-    joint_triple,
     lift,
     make_sampler,
-    sample_cholesky,
-    sample_structural,
 )
 from .errors import (
     DimensionMismatch,
@@ -52,7 +49,6 @@ from .grem import (
 )
 from .interpolation import (
     DerivativeComparison,
-    InterpolationPoint,
     MonotonicityScan,
     TwoReplicaGibbs,
     derivative_estimator,
@@ -70,7 +66,6 @@ from .models import (
     PSpinModel,
     REMModel,
     SKModel,
-    SKStandardModel,
 )
 from .spins import (
     CoordinatePartition,

@@ -13,7 +13,15 @@ Models whose covariance depends on a pair only through the per-block
 disagreement counts (d1, d2) are audited exactly: the (n1+1)(n2+1) count
 classes partition all 4**n ordered pairs, each class is evaluated once in
 rational arithmetic, and a canonical witness is rebuilt from the extremal
-class.  Tree and custom models are audited over the full dense pair grid.
+class.
+
+Every generated covariance is an XOR kernel, c(sigma, tau) = K[sigma XOR tau],
+and the projections are XOR-linear, so the gap of a pair is a function of
+u = sigma XOR tau alone: ``gap_vector`` holds one gap per XOR word.  Tree
+models are audited in float arithmetic through that vector; the 2**n pairs
+(sigma, sigma XOR u) of each word share its gap, so the 2**n words still
+cover all 4**n ordered pairs.  Custom models, which are stored rather than
+generated, are audited over the full dense pair grid.
 """
 
 from __future__ import annotations
@@ -23,11 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import grem as grem_mod
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
-from .models import CovarianceModel, CustomModel, GREMModel
+from .models import CovarianceModel, CustomModel
 from .spins import CoordinatePartition, SpinConfig, enumerate_partitions, project
-from .util import extract_map, popcount, psd_factor
+from .util import extract_map, psd_factor
 
 VERDICT_HOLDS = "HOLDS"
 VERDICT_HOLDS_WITH_EQUALITY = "HOLDS_WITH_EQUALITY"
@@ -194,10 +201,18 @@ def _audit_by_counts(model: CovarianceModel, partition: CoordinatePartition,
 
 def _audit_dense(model: CovarianceModel, partition: CoordinatePartition,
                  tolerance: float) -> ConditionReport:
-    gaps = gap_matrix(model, partition)
-    flat = int(np.argmax(gaps))
-    i, j = divmod(flat, gaps.shape[1])
-    max_gap = float(gaps[i, j])
+    """Float audit of every ordered pair.
+
+    Kernel models reduce to the gap vector, which is row 0 of the gap
+    matrix; every other row permutes it, so extremes and verdict are those
+    of the whole matrix and its first row-major argmax is (0, argmax).
+    """
+    if isinstance(model, CustomModel):
+        gaps = gap_matrix(model, partition)
+    else:
+        gaps = gap_vector(model, partition)
+    i, j = divmod(int(np.argmax(gaps)), 1 << partition.n)
+    max_gap = float(gaps.max())
     min_gap = float(gaps.min())
     if max_gap > tolerance:
         verdict = VERDICT_VIOLATED
@@ -209,49 +224,51 @@ def _audit_dense(model: CovarianceModel, partition: CoordinatePartition,
         n=partition.n, mask=partition.mask, n1=partition.n1,
         max_gap=max_gap, min_gap=min_gap,
         witness_sigma=SpinConfig(partition.n, i), witness_tau=SpinConfig(partition.n, j),
-        pairs_checked=gaps.size, verdict=verdict, exact=False,
+        pairs_checked=4**partition.n, verdict=verdict, exact=False,
+    )
+
+
+def gap_vector(model: CovarianceModel, partition: CoordinatePartition) -> np.ndarray:
+    """Gap of the pairs (sigma, sigma XOR u) for every word u in [0, 2**n), in float.
+
+    gap[u] = K_n[u] - (n1/n) K_n1[p1(u)] - (n2/n) K_n2[p2(u)], with K the
+    XOR kernels of the model and its two block submodels and p1, p2 the
+    bit extractions of the blocks.
+    """
+    n = partition.n
+    if partition.n != model.n:
+        raise DimensionMismatch(f"partition size {partition.n} != model size {model.n}")
+    k1 = model.submodel(partition, 1).kernel()
+    k2 = model.submodel(partition, 2).kernel()
+    return (
+        model.kernel()
+        - (partition.n1 / n) * k1[extract_map(n, partition.mask)]
+        - (partition.n2 / n) * k2[extract_map(n, partition.mask2)]
     )
 
 
 def gap_matrix(model: CovarianceModel, partition: CoordinatePartition) -> np.ndarray:
-    """Dense (2**n, 2**n) float matrix of gaps in enumeration order."""
+    """Dense (2**n, 2**n) float matrix of gaps in enumeration order.
+
+    Generated models read it off the gap vector, gaps[s, t] =
+    gap_vector[s XOR t], so its 4**n entries hold the 2**n gaps the tree
+    audit checks, one per XOR word.  Custom models, whose matrices are
+    stored, subtract the projected block matrices entry by entry.
+    """
     n = partition.n
     if partition.n != model.n:
         raise DimensionMismatch(f"partition size {partition.n} != model size {model.n}")
     if n > AUDIT_CAP:
         raise ResourceCapExceeded(f"n={n} exceeds the audit cap {AUDIT_CAP}")
     c = np.arange(1 << n, dtype=np.int64)
-    xor = c[:, None] ^ c[None, :]
-    w1 = partition.n1 / n
-    w2 = partition.n2 / n
-    if model.count_reducible:
-        table = np.empty((partition.n1 + 1, partition.n2 + 1))
-        for d1 in range(partition.n1 + 1):
-            for d2 in range(partition.n2 + 1):
-                sigma, tau = _count_class_witness(partition, d1, d2)
-                table[d1, d2] = float(condition_gap(model, partition, sigma, tau))
-        d1 = popcount(xor & partition.mask)
-        d2 = popcount(xor) - d1
-        return table[d1, d2]
-    if isinstance(model, GREMModel):
-        tree = model.tree
-        sub1 = tree.sub_tree(partition, 1)
-        sub2 = tree.sub_tree(partition, 2)
-        x1 = extract_map(n, partition.mask)[xor]  # extraction is XOR-linear
-        x2 = extract_map(n, partition.mask2)[xor]
-        v = np.asarray(tree.cumulative_variance)
-        v1 = np.asarray(sub1.cumulative_variance)
-        v2 = np.asarray(sub2.cumulative_variance)
-        return (
-            v[grem_mod.merge_level_matrix(tree, xor)]
-            - w1 * v1[grem_mod.merge_level_matrix(sub1, x1)]
-            - w2 * v2[grem_mod.merge_level_matrix(sub2, x2)]
-        )
-    # general path: stored matrices, projected by index maps
+    if not isinstance(model, CustomModel):
+        return gap_vector(model, partition)[c[:, None] ^ c[None, :]]
     sub1 = model.submodel(partition, 1)
     sub2 = model.submodel(partition, 2)
     p1 = extract_map(n, partition.mask)
     p2 = extract_map(n, partition.mask2)
+    w1 = partition.n1 / n
+    w2 = partition.n2 / n
     m = model.covariance_matrix()
     m1 = sub1.covariance_matrix()
     m2 = sub2.covariance_matrix()

@@ -35,7 +35,6 @@ from .models import (
     PSpinModel,
     REMModel,
     SKModel,
-    SKStandardModel,
 )
 from .spins import CoordinatePartition
 from .thermo import jensen_bound, quenched_alpha, superadditivity_report
@@ -45,7 +44,6 @@ SEED_ENV = "GAUSSEM_SEED"
 
 _SIZED_KINDS = {
     "sk": SKModel,
-    "sk_standard": SKStandardModel,
     "rem": REMModel,
 }
 
@@ -87,7 +85,7 @@ def parse_model(spec: str, n: int | None = None, base: str | Path = ".") -> Cova
         return model
     raise ValidationError(
         f"unknown model {head!r} (at position 0 of {spec!r}); "
-        "expected sk, sk_standard, pspin:p, mixed:p=w,..., rem, grem:file, custom:file"
+        "expected sk, pspin:p, mixed:p=w,..., rem, grem:file, custom:file"
     )
 
 

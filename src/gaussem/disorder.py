@@ -133,16 +133,6 @@ def make_sampler(model: CovarianceModel, method: str = "auto"):
     raise ValidationError(f"unknown sampling method {method!r}")
 
 
-def sample_structural(model: CovarianceModel, rng: np.random.Generator) -> np.ndarray:
-    """One structural draw of the energy vector (see StructuralSampler)."""
-    return StructuralSampler(model).sample(rng)
-
-
-def sample_cholesky(covariance: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One factorization draw of the energy vector (see CholeskySampler)."""
-    return CholeskySampler(covariance).sample(rng)
-
-
 def draw_disorder(model: CovarianceModel, policy: SeedPolicy, experiment: str,
                   draw: int, method: str = "auto") -> DisorderDraw:
     sampler = make_sampler(model, method)
@@ -220,13 +210,6 @@ class TripleSampler:
         lift1 = DisorderDraw(p.n, e1[self._map1], sub1.provenance)
         lift2 = DisorderDraw(p.n, e2[self._map2], sub2.provenance)
         return JointDraw(p, full, sub1, sub2, lift1, lift2)
-
-
-def joint_triple(model: CovarianceModel, partition: CoordinatePartition,
-                 policy: SeedPolicy, experiment: str, index: int,
-                 method: str = "auto") -> JointDraw:
-    """One-off joint draw; loops should hold a TripleSampler instead."""
-    return TripleSampler(model, partition, method).draw(policy, experiment, index)
 
 
 def write_draws(fh: io.TextIOBase, draws: Iterable[DisorderDraw]) -> None:

@@ -34,35 +34,14 @@ from .thermo import QuenchedEstimate, mean_and_se
 from .util import lse, pmap
 
 
-@dataclass(frozen=True)
-class InterpolationPoint:
-    """Blend parameter with its derived system weights."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t <= 1.0:
-            raise ValidationError(f"t must lie in [0, 1], got {self.t!r}")
-
-    @property
-    def t0(self) -> float:
-        return self.t
-
-    @property
-    def t1(self) -> float:
-        return 1.0 - self.t
-
-    @property
-    def t2(self) -> float:
-        return 1.0 - self.t
-
-
 def _scales(partition: CoordinatePartition, beta: float, t: float) -> tuple[float, float, float]:
-    pt = InterpolationPoint(t)
+    """Weights of the full system and of the two blocks at blend parameter t."""
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"t must lie in [0, 1], got {t!r}")
     return (
-        beta * math.sqrt(pt.t0 * partition.n),
-        beta * math.sqrt(pt.t1 * partition.n1),
-        beta * math.sqrt(pt.t2 * partition.n2),
+        beta * math.sqrt(t * partition.n),
+        beta * math.sqrt((1.0 - t) * partition.n1),
+        beta * math.sqrt((1.0 - t) * partition.n2),
     )
 
 
@@ -93,24 +72,13 @@ def log_partition_t(triple: JointDraw, beta: float, t: float) -> float:
 
 
 class TwoReplicaGibbs:
-    """Product Gibbs weights over ordered configuration pairs, one realization."""
+    """Gibbs weights of one realization; a pair (sigma, tau) weighs single[sigma] * single[tau]."""
 
     def __init__(self, triple: JointDraw, beta: float, t: float):
         x = _logits(triple, beta, t)
         w = np.exp(x - x.max())
         w /= w.sum()
         self.single = w
-
-    def pair_weight(self, sigma: SpinConfig, tau: SpinConfig) -> float:
-        return float(self.single[sigma.bits] * self.single[tau.bits])
-
-    def pair_expectation(self, matrix: np.ndarray) -> float:
-        """Expectation of a pair observable given as a dense matrix."""
-        return float(self.single @ matrix @ self.single)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.single.sum()) ** 2
 
 
 class _DerivativeMachine:

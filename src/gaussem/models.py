@@ -3,9 +3,12 @@
 Every model fixes a unit-diagonal symmetric covariance c_n(sigma, tau) over
 the 2**n configurations.  Models whose covariance is a rational function of
 overlaps return exact fractions from ``covariance``; floats appear only where
-the inputs are floats (tree variances, custom matrices).  Models with an
-explicit coupling expansion expose the linear map from i.i.d. standard
-Gaussians to the energy vector via ``coupling_structure``.
+the inputs are floats (tree variances, custom matrices).  Every generated
+rule depends on a pair only through sigma XOR tau, so ``kernel`` returns the
+whole covariance as one vector K of length 2**n with c(sigma, tau) =
+K[sigma XOR tau]; dense matrices and condition gaps are read from it.
+Models with an explicit coupling expansion expose the linear map from
+i.i.d. standard Gaussians to the energy vector via ``coupling_structure``.
 """
 
 from __future__ import annotations
@@ -155,9 +158,16 @@ class CovarianceModel:
         if self.n > cap:
             raise ResourceCapExceeded(f"n={self.n} exceeds the matrix cap {cap}")
         c = np.arange(1 << self.n, dtype=np.int64)
-        return self._matrix_from_xor(c[:, None] ^ c[None, :])
+        return self.kernel()[c[:, None] ^ c[None, :]]
 
-    def _matrix_from_xor(self, xor_words: np.ndarray) -> np.ndarray:
+    def kernel(self) -> np.ndarray:
+        """XOR kernel K with c(sigma, tau) = K[sigma XOR tau], one entry per word in [0, 2**n).
+
+        K[u] = c(sigma, sigma XOR u) for every sigma: each built-in rule
+        depends on a pair only through the coordinates where it disagrees.
+        Dense matrices and condition gaps are read from K; tree models are
+        audited through one gap per XOR word, which covers all 4**n pairs.
+        """
         raise NotImplementedError
 
     # -- family structure ---------------------------------------------------
@@ -216,9 +226,9 @@ class _OverlapPolynomialModel(CovarianceModel):
         self._check_sizes(sigma, tau)
         return self.psi(overlap(sigma, tau))
 
-    def _matrix_from_xor(self, xor_words: np.ndarray) -> np.ndarray:
-        q = 1.0 - 2.0 * popcount(xor_words) / self.n
-        return self.psi_float(q)
+    def kernel(self) -> np.ndarray:
+        u = np.arange(1 << self.n, dtype=np.int64)
+        return self.psi_float(1.0 - 2.0 * popcount(u) / self.n)
 
     def at_size(self, n: int) -> "CovarianceModel":
         return type(self)(n)
@@ -246,21 +256,6 @@ class SKModel(_OverlapPolynomialModel):
 
     def spec_string(self) -> str:
         return "sk"
-
-
-class SKStandardModel(SKModel):
-    """Upper-triangular pair model, exposed through the full model's covariance.
-
-    The i<j normalization differs from the full model only by a temperature
-    rescaling plus a configuration-independent shift, so covariance queries
-    return the full-model value q**2; the rescaling identity itself is
-    checked by thermo.sk_rescaling_check.
-    """
-
-    kind = "sk_standard"
-
-    def spec_string(self) -> str:
-        return "sk_standard"
 
 
 class PSpinModel(_OverlapPolynomialModel):
@@ -338,8 +333,10 @@ class REMModel(CovarianceModel):
         self._check_sizes(sigma, tau)
         return Fraction(1) if sigma.bits == tau.bits else Fraction(0)
 
-    def _matrix_from_xor(self, xor_words: np.ndarray) -> np.ndarray:
-        return (xor_words == 0).astype(float)
+    def kernel(self) -> np.ndarray:
+        k = np.zeros(1 << self.n)
+        k[0] = 1.0
+        return k
 
     def at_size(self, n: int) -> "REMModel":
         return REMModel(n)
@@ -374,9 +371,10 @@ class GREMModel(CovarianceModel):
         self._check_sizes(sigma, tau)
         return grem_mod.grem_covariance(self.tree, sigma, tau)
 
-    def _matrix_from_xor(self, xor_words: np.ndarray) -> np.ndarray:
+    def kernel(self) -> np.ndarray:
         v = np.asarray(self.tree.cumulative_variance)
-        return v[grem_mod.merge_level_matrix(self.tree, xor_words)]
+        u = np.arange(1 << self.n, dtype=np.int64)
+        return v[grem_mod.merge_level_matrix(self.tree, u)]
 
     def submodel(self, partition: CoordinatePartition, block: int) -> "GREMModel":
         if partition.n != self.n:
@@ -436,7 +434,7 @@ class CustomModel(CovarianceModel):
         self._check_sizes(sigma, tau)
         return float(self.matrix[sigma.bits, tau.bits])
 
-    def _matrix_from_xor(self, xor_words: np.ndarray) -> np.ndarray:
+    def kernel(self) -> np.ndarray:
         raise UnsupportedModel("custom matrices are stored, not generated")
 
     def covariance_matrix(self, cap: int = MATRIX_CAP) -> np.ndarray:

@@ -47,13 +47,9 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 def log_partition(draw: DisorderDraw, beta: float) -> float:
     """ln sum_sigma exp(beta sqrt(n) E_sigma), overflow-free."""
-    return log_partition_energies(draw.energies, draw.n, beta)
-
-
-def log_partition_energies(energies: np.ndarray, n: int, beta: float) -> float:
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta!r}")
-    x = (beta * math.sqrt(n)) * np.asarray(energies, dtype=float)
+    x = (beta * math.sqrt(draw.n)) * draw.energies
     if np.isnan(x).any():
         raise ValidationError("energies contain NaN")
     return lse(x)

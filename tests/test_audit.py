@@ -14,6 +14,7 @@ from gaussem.audit import (
     gap_matrix,
     validate_psd,
 )
+from gaussem import audit
 from gaussem.errors import MissingData, ResourceCapExceeded, ValidationError
 from gaussem.grem import validate_tree
 from gaussem.models import (
@@ -147,6 +148,65 @@ def test_gap_matrix_matches_condition_gap():
             for t in enumerate_configs(4):
                 expected = float(condition_gap(model, partition, s, t))
                 assert gaps[s.bits, t.bits] == pytest.approx(expected, abs=1e-14)
+
+
+def random_tree(data, n):
+    """Layered tree on n spins: 1..3 layers (zero-width ones allowed), random variances."""
+    layers = data.draw(st.integers(1, 3))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=layers - 1,
+                                     max_size=layers - 1)))
+    ks = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    raw = [data.draw(st.integers(1, 9)) for _ in range(layers)]
+    return validate_tree(ks, [r / sum(raw) for r in raw], n)
+
+
+def random_kernel_model(data):
+    n = data.draw(st.integers(2, 7))
+    kind = data.draw(st.sampled_from(["sk", "pspin", "mixed", "rem", "grem"]))
+    if kind == "sk":
+        return SKModel(n)
+    if kind == "pspin":
+        return PSpinModel(n, data.draw(st.integers(1, 4)))
+    if kind == "mixed":
+        p, q = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+        w = Fraction(data.draw(st.integers(1, 7)), 8)
+        return MixedModel(n, {p: w, q: 1 - w})
+    if kind == "rem":
+        return REMModel(n)
+    return GREMModel(random_tree(data, n))
+
+
+@given(st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_kernel_gaps_match_dense_oracle(data):
+    model = random_kernel_model(data)
+    n = model.n
+    partition = CoordinatePartition(n, data.draw(st.integers(1, (1 << n) - 2)))
+    p1 = extract_map(n, partition.mask)
+    p2 = extract_map(n, partition.mask2)
+    c1 = model.submodel(partition, 1).covariance_matrix()
+    c2 = model.submodel(partition, 2).covariance_matrix()
+    oracle = (model.covariance_matrix() - (partition.n1 / n) * c1[p1[:, None], p1[None, :]]
+              - (partition.n2 / n) * c2[p2[:, None], p2[None, :]])
+    np.testing.assert_array_equal(gap_matrix(model, partition), oracle)
+    if isinstance(model, GREMModel):
+        report = audit_partition(model, partition)
+        i, j = divmod(int(np.argmax(oracle)), 1 << n)
+        assert (report.max_gap, report.min_gap) == (oracle.max(), oracle.min())
+        assert (report.witness_sigma.bits, report.witness_tau.bits) == (i, j)
+        assert report.pairs_checked == 4**n
+
+
+def test_grem_audit_never_builds_gap_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree audit must read the gap vector")
+
+    monkeypatch.setattr(audit, "gap_matrix", refuse)
+    result = check_condition(GREMModel(validate_tree([2, 1, 2], [0.3, 0.3, 0.4], 5)),
+                             mode="all")
+    assert result.holds
+    assert len(result.reports) == 2**5 - 2
+    assert all(r.pairs_checked == 4**5 for r in result.reports)
 
 
 def test_custom_model_audit_needs_family():

@@ -10,12 +10,9 @@ from gaussem.disorder import (
     StructuralSampler,
     TripleSampler,
     draw_disorder,
-    joint_triple,
     lift,
     make_sampler,
     read_draws,
-    sample_cholesky,
-    sample_structural,
     write_draws,
 )
 from gaussem.errors import DimensionMismatch, ValidationError
@@ -155,8 +152,8 @@ def test_make_sampler_dispatch():
 
 
 def test_module_level_sampling_helpers():
-    e1 = sample_structural(REMModel(2), POLICY.stream("h", 0))
-    e2 = sample_cholesky(np.eye(4), POLICY.stream("h", 0))
+    e1 = StructuralSampler(REMModel(2)).sample(POLICY.stream("h", 0))
+    e2 = CholeskySampler(np.eye(4)).sample(POLICY.stream("h", 0))
     np.testing.assert_array_equal(e1, e2)
 
 
@@ -210,7 +207,7 @@ def test_joint_triple_independence_and_self_covariance():
 
 
 def test_joint_triple_convenience():
-    tr = joint_triple(SKModel(2), CoordinatePartition.canonical(2, 1), POLICY, "conv", 0)
+    tr = TripleSampler(SKModel(2), CoordinatePartition.canonical(2, 1)).draw(POLICY, "conv", 0)
     assert tr.full.n == 2 and tr.sub1.n == 1 and tr.lift1.n == 2
 
 

@@ -14,6 +14,7 @@ from gaussem.grem import (
     grem_covariance,
     lift_energies,
     merge_level,
+    merge_level_matrix,
     parse_tree_file,
     sample_grem,
     validate_tree,
@@ -158,6 +159,31 @@ def test_lift_inequalities_hold_exhaustively(target):
     assert rep.ok
     assert rep.max_violation <= 1e-12
     assert rep.pairs_checked == 4 ** sum(target)
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_lift_check_matches_dense_pair_grid(data):
+    layers = data.draw(st.integers(1, 3))
+    kt = [data.draw(st.integers(0, 7 // layers)) for _ in range(layers)]
+    if sum(kt) == 0:
+        kt[0] = 1
+    ks = [data.draw(st.integers(0, k)) for k in kt]
+    if sum(ks) == 0:
+        ks[kt.index(max(kt))] = 1
+    raw = [data.draw(st.integers(1, 9)) for _ in range(layers)]
+    lift = TreeLift(validate_tree(ks, [r / sum(raw) for r in raw], sum(ks)), tuple(kt))
+    # oracle: both covariances on every ordered pair of target leaves
+    c = np.arange(1 << sum(kt), dtype=np.int64)
+    proj = lift.projection_map()
+    v_src = np.asarray(lift.source.cumulative_variance)
+    v_tgt = np.asarray(lift.target.cumulative_variance)
+    lifted = v_src[merge_level_matrix(lift.source, proj[:, None] ^ proj[None, :])]
+    wanted = v_tgt[merge_level_matrix(lift.target, c[:, None] ^ c[None, :])]
+    rep = check_lift_covariance(lift)
+    assert rep.max_violation == (wanted - lifted).max()
+    assert rep.pairs_checked == wanted.size == 4 ** sum(kt)
+    assert rep.ok
 
 
 def test_lift_rejects_shrinking_layers():

@@ -8,7 +8,6 @@ from gaussem.disorder import SeedPolicy, TripleSampler
 from gaussem.errors import ValidationError
 from gaussem.grem import validate_tree
 from gaussem.interpolation import (
-    InterpolationPoint,
     TwoReplicaGibbs,
     derivative_estimator,
     finite_difference_check,
@@ -24,11 +23,15 @@ POLICY = SeedPolicy(555001)
 
 
 def test_interpolation_point_weights():
-    pt = InterpolationPoint(0.3)
-    assert pt.t0 == 0.3 and pt.t1 == pt.t2 == 0.7
-    assert InterpolationPoint(0.0).t1 == 1.0
-    with pytest.raises(ValidationError):
-        InterpolationPoint(1.5)
+    p = CoordinatePartition.canonical(4, 1)
+    tr = TripleSampler(SKModel(4), p).draw(POLICY, "weights", 0)
+    expected = (math.sqrt(0.3 * 4) * tr.full.energies + math.sqrt(0.7 * 1) * tr.lift1.energies
+                + math.sqrt(0.7 * 3) * tr.lift2.energies)
+    assert log_partition_t(tr, 1.0, 0.3) == pytest.approx(
+        np.log(np.exp(expected).sum()), abs=1e-12)
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValidationError):
+            log_partition_t(tr, 1.0, t)
 
 
 def test_hamiltonian_endpoints_and_zero_energies():
@@ -89,11 +92,7 @@ def test_two_replica_weights_normalized():
     sampler = TripleSampler(model, p)
     for i in range(20):
         gibbs = TwoReplicaGibbs(sampler.draw(POLICY, "gibbs", i), 1.5, 0.3)
-        assert abs(gibbs.total_weight - 1.0) < 1e-12
-        s, t = SpinConfig(4, 3), SpinConfig(4, 9)
-        assert gibbs.pair_weight(s, t) == pytest.approx(
-            gibbs.single[3] * gibbs.single[9], abs=1e-15
-        )
+        assert abs(gibbs.single.sum() - 1.0) < 1e-12
 
 
 def test_derivative_zero_at_beta_zero():

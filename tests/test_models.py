@@ -16,7 +16,6 @@ from gaussem.models import (
     PSpinModel,
     REMModel,
     SKModel,
-    SKStandardModel,
 )
 from gaussem.grem import validate_tree
 from gaussem.spins import CoordinatePartition, SpinConfig, enumerate_configs
@@ -57,7 +56,6 @@ def test_covariance_examples():
     "model",
     [
         SKModel(4),
-        SKStandardModel(4),
         PSpinModel(4, 3),
         MixedModel(4, {1: Fraction(1, 4), 2: Fraction(3, 4)}),
         REMModel(4),
