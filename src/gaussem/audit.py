@@ -119,11 +119,11 @@ def default_tolerance(model: CovarianceModel) -> float:
 
 
 def check_condition(model: CovarianceModel, mode: str = "canonical",
-                    tolerance: float | None = None, cap: int = AUDIT_CAP) -> AuditResult:
+                    tolerance: float | None = None) -> AuditResult:
     """Audit every ordered configuration pair for every partition of the split mode."""
     n = model.n
-    if n > cap:
-        raise ResourceCapExceeded(f"n={n} exceeds the audit cap {cap}")
+    if n > AUDIT_CAP:
+        raise ResourceCapExceeded(f"n={n} exceeds the audit cap {AUDIT_CAP}")
     if n < 2:
         raise ValidationError("condition audits need n >= 2")
     tol = default_tolerance(model) if tolerance is None else tolerance

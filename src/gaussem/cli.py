@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .audit import check_condition, validate_psd
-from .disorder import SeedPolicy, draw_disorder, write_draws
+from .disorder import DisorderDraw, SeedPolicy, make_sampler, write_draws
 from .errors import GaussemError, ValidationError
 from .grem import GremTree, TreeLift, check_lift_covariance, parse_tree_file, validate_tree
 from .interpolation import monotonicity_scan
@@ -272,8 +272,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for beta in _betas(args.beta):
-        est = quenched_alpha(model, beta, args.samples, seeds,
-                             method=args.method, threads=args.threads)
+        est = quenched_alpha(model, beta, args.samples, seeds, threads=args.threads)
         bound = jensen_bound(beta)
         margin = bound - est.value
         bounded = est.value <= bound + 3.0 * est.std_error
@@ -293,7 +292,7 @@ def _cmd_superadd(args: argparse.Namespace) -> int:
     ok = True
     for beta in _betas(args.beta):
         rep = superadditivity_report(model, partition, beta, args.samples, seeds,
-                                     method=args.method, threads=args.threads)
+                                     threads=args.threads)
         ok = ok and rep.satisfied
         rows.append((model.spec_string(), model.n, beta, args.samples,
                      rep.alpha_full.value, rep.combined_se, jensen_bound(beta),
@@ -311,7 +310,7 @@ def _cmd_interp(args: argparse.Namespace) -> int:
     if len(betas) != 1:
         raise ValidationError("interp takes a single --beta")
     scan = monotonicity_scan(model, partition, betas[0], _tgrid(args.tgrid),
-                             args.samples, seeds, method=args.method, threads=args.threads)
+                             args.samples, seeds, threads=args.threads)
     rows = [(p.t, p.estimate.value, p.estimate.std_error, p.verdict) for p in scan.points]
     _emit(args, ["t", "value", "std_error", "verdict"], rows)
     return 0 if scan.all_nonnegative else 1
@@ -370,8 +369,10 @@ def _cmd_grem_verify(args: argparse.Namespace) -> int:
 def _cmd_sample_dump(args: argparse.Namespace) -> int:
     model = parse_model(args.model, args.n)
     seeds = SeedPolicy(args.seed)
+    sampler = make_sampler(model)
+    label = f"{model.spec_string()}/dump"
     draws = [
-        draw_disorder(model, seeds, "dump", i, method=args.method)
+        DisorderDraw(model.n, sampler.sample(seeds.stream("dump", i)), (label, args.seed, i))
         for i in range(args.samples)
     ]
     if args.out == "-":
@@ -425,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--beta", required=True, help="inverse temperature(s), comma separated")
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--method", choices=("auto", "structural", "cholesky"), default="auto")
     sp.set_defaults(func=_cmd_alpha)
 
     sp = sub.add_parser("superadd", help="size-additivity margin across a coordinate split")
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mask", type=int, default=None, help="explicit block-1 bit mask")
     sp.add_argument("--beta", required=True)
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--method", choices=("auto", "structural", "cholesky"), default="auto")
     sp.set_defaults(func=_cmd_superadd)
 
     sp = sub.add_parser("interp", help="derivative scan of the interpolated free energy")
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", required=True)
     sp.add_argument("--tgrid", default="0.1:0.9:9", help="start:stop:count")
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--method", choices=("auto", "structural", "cholesky"), default="auto")
     sp.set_defaults(func=_cmd_interp)
 
     sp = sub.add_parser("grem-verify", help="tree validation, PSD, lifting and condition audit")
@@ -457,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample-dump", help="write raw draws, one line per draw")
     _add_common(sp)
     sp.add_argument("--samples", type=int, default=10)
-    sp.add_argument("--method", choices=("auto", "structural", "cholesky"), default="auto")
     sp.set_defaults(func=_cmd_sample_dump)
 
     return ap

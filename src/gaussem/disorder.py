@@ -15,11 +15,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedModel, ValidationError
+from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 from .grem import sample_grem
 from .models import CovarianceModel, CustomModel
 from .spins import CoordinatePartition
 from .util import extract_map, psd_factor
+
+#: largest Frobenius residual of the covariance factor, relative to the covariance
+FACTOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,16 @@ class DisorderDraw:
 class StructuralSampler:
     """Draws the model's independent couplings and applies the linear map.
 
-    Exact for every built-in model.  Overlap models (sk, pspin, mixed) read
-    all n_couplings normals g, fold them onto the k distinct Walsh
-    characters of the coupling map, a = bincount(idx, coef * g), and return
-    X @ a (CouplingStructure.compact); the dense 2**n x n_couplings map is
-    never built, and the draw equals W @ g up to summation rounding.  The
-    identity map of the independent-energies model is skipped, and tree
-    models sum their branch couplings along the leaf paths in layer order
-    (grem.sample_grem), so their draws do not depend on the BLAS kernel's
-    summation order.
+    The sampler of every generated model (sk, pspin, mixed, rem, grem).
+    Overlap models read all n_couplings normals g, fold them onto the k
+    distinct Walsh characters of the coupling map, a = bincount(idx, coef *
+    g), and return X @ a (CouplingStructure.compact); the dense 2**n x
+    n_couplings map is never built, and the draw equals W @ g up to
+    summation rounding.  A character map over the coupling budget is refused
+    with ResourceCapExceeded before anything is allocated.  The identity map
+    of the independent-energies model is skipped, and tree models sum their
+    branch couplings along the leaf paths in layer order (grem.sample_grem),
+    so their draws do not depend on the BLAS kernel's summation order.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -95,7 +99,7 @@ class StructuralSampler:
 class CholeskySampler:
     """Draws energies through a pivoted rank-revealing factor of the covariance."""
 
-    def __init__(self, covariance: np.ndarray, frobenius_rtol: float = 1e-8):
+    def __init__(self, covariance: np.ndarray):
         c = np.asarray(covariance, dtype=float)
         factor, rank, _, resid_min = psd_factor(c)
         maxdiag = float(c.diagonal().max())
@@ -105,9 +109,9 @@ class CholeskySampler:
             )
         resid = np.linalg.norm(c - factor @ factor.T)
         scale = max(np.linalg.norm(c), 1.0)
-        if resid > frobenius_rtol * scale:
+        if resid > FACTOR_RTOL * scale:
             raise ValidationError(
-                f"factorization residual {resid!r} exceeds {frobenius_rtol!r} (relative)"
+                f"factorization residual {resid!r} exceeds {FACTOR_RTOL!r} (relative)"
             )
         self._factor = factor
         self.rank = rank
@@ -117,25 +121,26 @@ class CholeskySampler:
         return self._factor @ rng.standard_normal(self._factor.shape[1])
 
 
-def make_sampler(model: CovarianceModel, method: str = "auto"):
-    """Structural when the model has a coupling form, else factorization."""
-    if method == "structural":
-        return StructuralSampler(model)
-    if method == "cholesky":
-        return CholeskySampler(model.covariance_matrix())
-    if method == "auto":
-        if isinstance(model, CustomModel):
-            return CholeskySampler(model.covariance_matrix())
+def make_sampler(model: CovarianceModel):
+    """The exact sampler of the model, chosen from the model alone.
+
+    Every exact sampler gives the same law, so no caller picks one.
+    Generated models draw through their coupling form (StructuralSampler).
+    Custom models, and generated models whose character map is over the
+    coupling budget, factorize the dense covariance (CholeskySampler), which
+    keeps its own MATRIX_CAP refusal.
+    """
+    if not isinstance(model, CustomModel):
         try:
             return StructuralSampler(model)
-        except UnsupportedModel:
-            return CholeskySampler(model.covariance_matrix())
-    raise ValidationError(f"unknown sampling method {method!r}")
+        except ResourceCapExceeded:
+            pass
+    return CholeskySampler(model.covariance_matrix())
 
 
 def draw_disorder(model: CovarianceModel, policy: SeedPolicy, experiment: str,
-                  draw: int, method: str = "auto") -> DisorderDraw:
-    sampler = make_sampler(model, method)
+                  draw: int) -> DisorderDraw:
+    sampler = make_sampler(model)
     rng = policy.stream(experiment, draw)
     return DisorderDraw(
         n=model.n,
@@ -182,17 +187,16 @@ class TripleSampler:
     systems independent while costing a single generator construction.
     """
 
-    def __init__(self, model: CovarianceModel, partition: CoordinatePartition,
-                 method: str = "auto"):
+    def __init__(self, model: CovarianceModel, partition: CoordinatePartition):
         if partition.n != model.n:
             raise DimensionMismatch(
                 f"partition size {partition.n} != model size {model.n}"
             )
         self.model = model
         self.partition = partition
-        self._full = make_sampler(model, method)
-        self._s1 = make_sampler(model.submodel(partition, 1), method)
-        self._s2 = make_sampler(model.submodel(partition, 2), method)
+        self._full = make_sampler(model)
+        self._s1 = make_sampler(model.submodel(partition, 1))
+        self._s2 = make_sampler(model.submodel(partition, 2))
         self._map1 = extract_map(partition.n, partition.mask)
         self._map2 = extract_map(partition.n, partition.mask2)
         self._label = f"{model.spec_string()}|mask={partition.mask}"

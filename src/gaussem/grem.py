@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .spins import CoordinatePartition, SpinConfig
+from .util import extract_map
 
 VARIANCE_TOL = 1e-12
 
@@ -225,15 +226,7 @@ class TreeLift:
 
     def projection_map(self) -> np.ndarray:
         """Source leaf index for every target leaf (blockwise truncation)."""
-        c = np.arange(1 << self.target.n_spins, dtype=np.int64)
-        out = np.zeros_like(c)
-        s_off = 0
-        t_off = 0
-        for ks, kt in zip(self.source.exponents, self.target_exponents):
-            out |= ((c >> t_off) & ((1 << ks) - 1)) << s_off
-            s_off += ks
-            t_off += kt
-        return out
+        return extract_map(self.target.n_spins, self.block1_mask)
 
 
 @dataclass(frozen=True)

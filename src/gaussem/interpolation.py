@@ -30,8 +30,8 @@ from .disorder import JointDraw, SeedPolicy, TripleSampler
 from .errors import ValidationError
 from .models import CovarianceModel
 from .spins import CoordinatePartition, SpinConfig
-from .thermo import QuenchedEstimate, mean_and_se
-from .util import lse, pmap
+from .thermo import LN2, QuenchedEstimate, mean_and_se
+from .util import log_mean_exp, pmap
 
 
 def _scales(partition: CoordinatePartition, beta: float, t: float) -> tuple[float, float, float]:
@@ -68,7 +68,7 @@ def log_partition_t(triple: JointDraw, beta: float, t: float) -> float:
     """ln sum_sigma exp(-beta H(sigma, t)), overflow-free."""
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta!r}")
-    return lse(_logits(triple, beta, t))
+    return triple.partition.n * LN2 + log_mean_exp(_logits(triple, beta, t))
 
 
 class TwoReplicaGibbs:
@@ -85,14 +85,14 @@ class _DerivativeMachine:
     """Shared plumbing: one gap matrix, one triple sampler, per-draw values."""
 
     def __init__(self, model: CovarianceModel, partition: CoordinatePartition,
-                 beta: float, method: str = "auto"):
+                 beta: float):
         if beta < 0:
             raise ValidationError(f"beta must be >= 0, got {beta!r}")
         self.model = model
         self.partition = partition
         self.beta = beta
         self.gaps = audit_mod.gap_matrix(model, partition)
-        self.sampler = TripleSampler(model, partition, method)
+        self.sampler = TripleSampler(model, partition)
 
     def derivative_of_draw(self, triple: JointDraw, t: float) -> float:
         w = TwoReplicaGibbs(triple, self.beta, t).single
@@ -104,15 +104,14 @@ class _DerivativeMachine:
 
 def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
                          beta: float, t: float, samples: int, seeds: SeedPolicy,
-                         experiment: str | None = None, method: str = "auto",
-                         threads: int = 1) -> QuenchedEstimate:
+                         experiment: str | None = None, threads: int = 1) -> QuenchedEstimate:
     """Monte Carlo estimate of d/dt of the averaged per-spin log partition sum.
 
     The two-replica expectation is exact per draw (full double enumeration);
     only the disorder average is sampled.  Endpoints t = 0, 1 are fine: the
     evaluated expression has no 1/sqrt(t) singularities.
     """
-    machine = _DerivativeMachine(model, partition, beta, method)
+    machine = _DerivativeMachine(model, partition, beta)
     label = experiment or (
         f"deriv|{model.spec_string()}|mask={partition.mask}|beta={beta!r}|t={t!r}"
     )
@@ -140,8 +139,7 @@ class DerivativeComparison:
 
 def finite_difference_check(model: CovarianceModel, partition: CoordinatePartition,
                             beta: float, t: float, h: float, samples: int,
-                            seeds: SeedPolicy, method: str = "auto",
-                            threads: int = 1) -> DerivativeComparison:
+                            seeds: SeedPolicy, threads: int = 1) -> DerivativeComparison:
     """Cross-validate the derivative formula against a seed-coupled difference.
 
     The same joint draws are reused at t-h and t+h (common random numbers),
@@ -150,7 +148,7 @@ def finite_difference_check(model: CovarianceModel, partition: CoordinatePartiti
     """
     if not (0.0 < t - h and t + h < 1.0):
         raise ValidationError(f"need 0 < t-h and t+h < 1, got t={t!r}, h={h!r}")
-    machine = _DerivativeMachine(model, partition, beta, method)
+    machine = _DerivativeMachine(model, partition, beta)
     label = f"fd|{model.spec_string()}|mask={partition.mask}|beta={beta!r}|t={t!r}|h={h!r}"
 
     def one(i: int) -> float:
@@ -160,8 +158,7 @@ def finite_difference_check(model: CovarianceModel, partition: CoordinatePartiti
     vals = np.array(pmap(one, range(samples), threads))
     mean, se = mean_and_se(vals)
     fd = QuenchedEstimate(mean, se, samples, beta, partition.n, "dalpha/dt (central diff)")
-    est = derivative_estimator(model, partition, beta, t, samples, seeds,
-                               method=method, threads=threads)
+    est = derivative_estimator(model, partition, beta, t, samples, seeds, threads=threads)
     combined = math.sqrt(fd.std_error**2 + est.std_error**2)
     return DerivativeComparison(
         t=t, h=h, finite_difference=fd, estimator=est, combined_se=combined,
@@ -188,9 +185,9 @@ class MonotonicityScan:
 
 def monotonicity_scan(model: CovarianceModel, partition: CoordinatePartition,
                       beta: float, t_grid, samples: int, seeds: SeedPolicy,
-                      method: str = "auto", threads: int = 1) -> MonotonicityScan:
+                      threads: int = 1) -> MonotonicityScan:
     """Derivative estimates across a t grid; draws are shared across the grid."""
-    machine = _DerivativeMachine(model, partition, beta, method)
+    machine = _DerivativeMachine(model, partition, beta)
     label = f"scan|{model.spec_string()}|mask={partition.mask}|beta={beta!r}"
     triples = pmap(lambda i: machine.sampler.draw(seeds, label, i), range(samples), threads)
     points = []

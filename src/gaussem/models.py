@@ -153,10 +153,10 @@ class CovarianceModel:
                 f"configuration sizes ({sigma.n}, {tau.n}) != model size {self.n}"
             )
 
-    def covariance_matrix(self, cap: int = MATRIX_CAP) -> np.ndarray:
+    def covariance_matrix(self) -> np.ndarray:
         """Dense covariance in enumeration order; unit diagonal."""
-        if self.n > cap:
-            raise ResourceCapExceeded(f"n={self.n} exceeds the matrix cap {cap}")
+        if self.n > MATRIX_CAP:
+            raise ResourceCapExceeded(f"n={self.n} exceeds the matrix cap {MATRIX_CAP}")
         c = np.arange(1 << self.n, dtype=np.int64)
         return self.kernel()[c[:, None] ^ c[None, :]]
 
@@ -437,7 +437,7 @@ class CustomModel(CovarianceModel):
     def kernel(self) -> np.ndarray:
         raise UnsupportedModel("custom matrices are stored, not generated")
 
-    def covariance_matrix(self, cap: int = MATRIX_CAP) -> np.ndarray:
+    def covariance_matrix(self) -> np.ndarray:
         return self.matrix.copy()
 
     def at_size(self, n: int) -> "CovarianceModel":

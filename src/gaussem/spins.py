@@ -102,14 +102,17 @@ class CoordinatePartition:
         return self.n1 if block == 1 else self.n2
 
 
-def extract_bits(bits: int, mask: int) -> int:
-    """Gather the bits selected by mask, packed toward bit 0 in ascending order."""
-    out = 0
+def extract_bits(bits, mask: int):
+    """Gather the bits selected by mask, packed toward bit 0 in ascending order.
+
+    Branch-free, so bits may be a Python int or an integer numpy array; an
+    array is mapped word by word.
+    """
+    out = bits & 0
     k = 0
     while mask:
         low = mask & -mask
-        if bits & low:
-            out |= 1 << k
+        out |= ((bits & low) != 0) << k
         k += 1
         mask ^= low
     return out
@@ -157,12 +160,12 @@ def overlap(sigma: SpinConfig, tau: SpinConfig) -> Fraction:
     return Fraction(sigma.n - 2 * d, sigma.n)
 
 
-def enumerate_configs(n: int, cap: int = ENUMERATION_CAP) -> Iterator[SpinConfig]:
+def enumerate_configs(n: int) -> Iterator[SpinConfig]:
     """All 2**n configurations in ascending bit-word order."""
     if n < 1:
         raise ValueError(f"system size must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceCapExceeded(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceCapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     for bits in range(1 << n):
         yield SpinConfig(n, bits)
 

@@ -19,7 +19,7 @@ from .disorder import DisorderDraw, SeedPolicy, make_sampler
 from .errors import ValidationError
 from .models import CovarianceModel, SKModel
 from .spins import CoordinatePartition
-from .util import lse, pmap
+from .util import log_mean_exp, pmap
 
 LN2 = math.log(2.0)
 
@@ -47,12 +47,7 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 def log_partition(draw: DisorderDraw, beta: float) -> float:
     """ln sum_sigma exp(beta sqrt(n) E_sigma), overflow-free."""
-    if beta < 0:
-        raise ValidationError(f"beta must be >= 0, got {beta!r}")
-    x = (beta * math.sqrt(draw.n)) * draw.energies
-    if np.isnan(x).any():
-        raise ValidationError("energies contain NaN")
-    return lse(x)
+    return draw.n * alpha_of_energies(draw.energies, draw.n, beta)
 
 
 def alpha_of_energies(energies: np.ndarray, n: int, beta: float) -> float:
@@ -62,8 +57,7 @@ def alpha_of_energies(energies: np.ndarray, n: int, beta: float) -> float:
     x = (beta * math.sqrt(n)) * np.asarray(energies, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("energies contain NaN")
-    m = float(x.max())
-    return LN2 + (m + math.log(float(np.exp(x - m).mean()))) / n
+    return LN2 + log_mean_exp(x) / n
 
 
 def jensen_bound(beta: float) -> float:
@@ -74,13 +68,12 @@ def jensen_bound(beta: float) -> float:
 
 
 def quenched_alpha(model: CovarianceModel, beta: float, samples: int, seeds: SeedPolicy,
-                   experiment: str | None = None, method: str = "auto",
-                   threads: int = 1) -> QuenchedEstimate:
+                   experiment: str | None = None, threads: int = 1) -> QuenchedEstimate:
     """Monte Carlo estimate of the disorder-averaged per-spin log partition sum."""
     if samples < 2:
         raise ValidationError("error bars need at least 2 samples")
     label = experiment or f"alpha|{model.spec_string()}|n={model.n}|beta={beta!r}"
-    sampler = make_sampler(model, method)
+    sampler = make_sampler(model)
     n = model.n
 
     def one(i: int) -> float:
@@ -109,15 +102,15 @@ class SuperadditivityReport:
 
 def superadditivity_report(model: CovarianceModel, partition: CoordinatePartition,
                            beta: float, samples: int, seeds: SeedPolicy,
-                           method: str = "auto", threads: int = 1) -> SuperadditivityReport:
+                           threads: int = 1) -> SuperadditivityReport:
     """Compare the full-size estimate against the block-weighted average."""
     n, n1, n2 = partition.n, partition.n1, partition.n2
     base = f"superadd|{model.spec_string()}|mask={partition.mask}|beta={beta!r}"
-    a = quenched_alpha(model, beta, samples, seeds, f"{base}|full", method, threads)
+    a = quenched_alpha(model, beta, samples, seeds, f"{base}|full", threads)
     a1 = quenched_alpha(model.submodel(partition, 1), beta, samples, seeds,
-                        f"{base}|block1", method, threads)
+                        f"{base}|block1", threads)
     a2 = quenched_alpha(model.submodel(partition, 2), beta, samples, seeds,
-                        f"{base}|block2", method, threads)
+                        f"{base}|block2", threads)
     # integer weighting keeps the margin exactly 0 when all three values coincide
     margin = (n * a.value - n1 * a1.value - n2 * a2.value) / n
     combined = math.sqrt(

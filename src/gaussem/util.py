@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import lapack
+
+from .spins import extract_bits
+
+#: pivots below this fraction of the largest diagonal entry end the factor
+PIVOT_RTOL = 1e-10
 
 
 def popcount(arr: np.ndarray) -> np.ndarray:
@@ -16,24 +22,11 @@ def popcount(arr: np.ndarray) -> np.ndarray:
 
 
 def extract_map(n: int, mask: int) -> np.ndarray:
-    """Packed extraction of the mask bits for every word in [0, 2**n).
+    """extract_bits of every word in [0, 2**n), as an int64 array.
 
-    extract_map(n, m)[c] gathers the bits of c at the set positions of m,
-    compacted toward bit 0 in ascending position order.  The map is linear
-    over XOR, which the audit paths rely on.
+    The map is linear over XOR, which the audit paths rely on.
     """
-    c = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(c)
-    k = 0
-    pos = 0
-    m = mask
-    while m:
-        if m & 1:
-            out |= ((c >> pos) & 1) << k
-            k += 1
-        m >>= 1
-        pos += 1
-    return out
+    return extract_bits(np.arange(1 << n, dtype=np.int64), mask)
 
 
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
@@ -48,7 +41,7 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
     return [fn(x) for x in items]
 
 
-def psd_factor(matrix: np.ndarray, pivot_tol_scale: float = 1e-10):
+def psd_factor(matrix: np.ndarray):
     """Pivoted rank-revealing Cholesky of a (possibly degenerate) symmetric matrix.
 
     Returns (factor, rank, pivots, resid_diag_min) where factor @ factor.T
@@ -59,7 +52,7 @@ def psd_factor(matrix: np.ndarray, pivot_tol_scale: float = 1e-10):
     a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
     maxdiag = max(float(a.diagonal().max()), np.finfo(float).tiny)
-    c, piv, rank, info = lapack.dpstrf(a, lower=1, tol=pivot_tol_scale * maxdiag)
+    c, piv, rank, info = lapack.dpstrf(a, lower=1, tol=PIVOT_RTOL * maxdiag)
     if info < 0:
         raise np.linalg.LinAlgError(f"dpstrf failed with info={info}")
     lower = np.tril(c)
@@ -71,10 +64,10 @@ def psd_factor(matrix: np.ndarray, pivot_tol_scale: float = 1e-10):
     return factor, int(rank), pivots, float(resid.diagonal().min())
 
 
-def lse(x: np.ndarray) -> float:
-    """Max-shifted log-sum-exp of a vector."""
-    m = float(np.max(x))
-    return m + float(np.log(np.exp(x - m).sum()))
+def log_mean_exp(x: np.ndarray) -> float:
+    """Max-shifted ln mean exp(x); exactly the constant when x is constant."""
+    m = float(x.max())
+    return m + math.log(float(np.exp(x - m).mean()))
 
 
 def format_float(x: float) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -5,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaussem.cli import main, parse_model
+from gaussem import cli
+from gaussem.cli import build_parser, main, parse_model
 from gaussem.errors import ValidationError
 from gaussem.models import GREMModel, MixedModel, PSpinModel, REMModel, SKModel
 
@@ -159,6 +161,52 @@ def test_sample_dump_deterministic(tmp_path):
     rows = [[float(tok) for tok in ln.split()] for ln in out1.read_text().splitlines()]
     assert len(rows) == 5
     assert all(len(r) == 8 for r in rows)
+
+
+def test_sample_dump_builds_one_sampler(tmp_path, monkeypatch):
+    built = []
+    original = cli.make_sampler
+
+    def counting(model):
+        built.append(model)
+        return original(model)
+
+    monkeypatch.setattr(cli, "make_sampler", counting)
+    out = tmp_path / "d.txt"
+    assert main(["sample-dump", "--model", "mixed:2=0.5,4=0.5", "--n", "4",
+                 "--samples", "5", "--out", str(out)]) == 0
+    assert len(built) == 1
+    assert len(out.read_text().splitlines()) == 5
+
+
+def test_alpha_samples_pspin_over_the_coupling_budget(tmp_path, capsys):
+    # 6**10 couplings exceed the character-map budget: the model falls back
+    # to factorizing its 64 x 64 covariance, with no option to ask for it
+    args = ["alpha", "--model", "pspin:10", "--n", "6", "--beta", "1", "--samples", "20"]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert main(args + ["--method", "cholesky"]) == 2
+    capsys.readouterr()
+
+
+def test_subcommand_options():
+    common = {"--seed", "--threads", "--out", "--format"}
+    model = common | {"--model", "--n"}
+    split = {"--n1", "--mask", "--beta", "--samples"}
+    expected = {
+        "check": model | {"--mode", "--tolerance"},
+        "psd": model | {"--tol"},
+        "alpha": model | {"--beta", "--samples"},
+        "superadd": model | split,
+        "interp": model | split | {"--tgrid"},
+        "grem-verify": common | {"--tree", "--split", "--mode"},
+        "sample-dump": model | {"--samples"},
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert found == expected
 
 
 def test_custom_model_via_file(tmp_path):

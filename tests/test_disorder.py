@@ -15,7 +15,7 @@ from gaussem.disorder import (
     read_draws,
     write_draws,
 )
-from gaussem.errors import DimensionMismatch, ValidationError
+from gaussem.errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 from gaussem.grem import validate_tree
 from gaussem.models import (
     CouplingStructure,
@@ -143,12 +143,16 @@ def test_empirical_mean_centered():
 
 
 def test_make_sampler_dispatch():
-    assert isinstance(make_sampler(SKModel(3)), StructuralSampler)
-    assert isinstance(make_sampler(SKModel(3), "cholesky"), CholeskySampler)
-    custom = CustomModel(np.eye(4))
-    assert isinstance(make_sampler(custom), CholeskySampler)
-    with pytest.raises(ValidationError):
-        make_sampler(SKModel(3), "bogus")
+    # the model alone picks the sampler: generated models use their coupling form
+    tree = validate_tree([1, 2], [0.5, 0.5], 3)
+    for model in (SKModel(3), REMModel(3), GREMModel(tree)):
+        assert isinstance(make_sampler(model), StructuralSampler)
+    assert isinstance(make_sampler(CustomModel(np.eye(4))), CholeskySampler)
+    # 6**10 couplings are over the budget, so the dense covariance is factorized
+    assert isinstance(make_sampler(PSpinModel(6, 10)), CholeskySampler)
+    # past MATRIX_CAP the factorization refuses as well
+    with pytest.raises(ResourceCapExceeded):
+        make_sampler(PSpinModel(13, 10))
 
 
 def test_module_level_sampling_helpers():

@@ -173,9 +173,15 @@ def test_lift_check_matches_dense_pair_grid(data):
         ks[kt.index(max(kt))] = 1
     raw = [data.draw(st.integers(1, 9)) for _ in range(layers)]
     lift = TreeLift(validate_tree(ks, [r / sum(raw) for r in raw], sum(ks)), tuple(kt))
-    # oracle: both covariances on every ordered pair of target leaves
+    # oracle: both covariances on every ordered pair of target leaves, with the
+    # projection truncating each target layer to its first k_i(source) coordinates
     c = np.arange(1 << sum(kt), dtype=np.int64)
-    proj = lift.projection_map()
+    proj = np.zeros_like(c)
+    s_off = t_off = 0
+    for k_src, k_tgt in zip(ks, kt):
+        proj |= ((c >> t_off) & ((1 << k_src) - 1)) << s_off
+        s_off += k_src
+        t_off += k_tgt
     v_src = np.asarray(lift.source.cumulative_variance)
     v_tgt = np.asarray(lift.target.cumulative_variance)
     lifted = v_src[merge_level_matrix(lift.source, proj[:, None] ^ proj[None, :])]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,3 +140,13 @@ def test_extract_deposit_inverse(data):
     bits = data.draw(st.integers(0, (1 << n) - 1))
     packed = extract_bits(bits, mask)
     assert deposit_bits(packed, mask) == bits & mask
+
+
+@given(st.data())
+def test_extract_bits_array_matches_int(data):
+    n = data.draw(st.integers(1, 10))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    words = np.arange(1 << n, dtype=np.int64)
+    packed = extract_bits(words, mask)
+    assert packed.dtype == np.int64
+    assert packed.tolist() == [extract_bits(int(w), mask) for w in words]
