@@ -14,6 +14,7 @@ from .audit import (
     PsdReport,
     check_condition,
     condition_gap,
+    gap_expansion,
     gap_matrix,
     validate_psd,
 )

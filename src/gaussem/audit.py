@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
-from .models import CovarianceModel, CustomModel
+from .models import CovarianceModel, CustomModel, walsh_characters
 from .spins import CoordinatePartition, SpinConfig, enumerate_partitions, project
 from .util import extract_map, psd_factor
 
@@ -247,12 +247,40 @@ def gap_vector(model: CovarianceModel, partition: CoordinatePartition) -> np.nda
     )
 
 
+def gap_expansion(model: CovarianceModel, partition: CoordinatePartition
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(X, coef) with X @ diag(coef) @ X.T equal to gap_matrix(model, partition).
+
+    A generated gap is an XOR kernel, so it is diagonal in the Walsh basis:
+    gap[s XOR t] = sum_S ghat(S) chi_S(s) chi_S(t) / 2**n with ghat the
+    Walsh-Hadamard transform of the gap vector.  X holds the characters on
+    which ghat can be nonzero: those of the coupling map for overlap models
+    (|S| <= p with the parity of p), all 2**n for tree models.  Since
+    X.T @ gap_vector = chi_S(0) * ghat(S) (see models.walsh_characters),
+    coef = (X.T @ gap_vector) * X[0] / 2**n.  Custom gaps are stored, not
+    generated; their X and coef are the eigenvectors and eigenvalues of the
+    dense gap matrix, so AUDIT_CAP bounds them.
+    """
+    if isinstance(model, CustomModel):
+        coef, chars = np.linalg.eigh(gap_matrix(model, partition))
+        return chars, coef
+    n = partition.n
+    gaps = gap_vector(model, partition)
+    if model.kind in ("rem", "grem"):
+        chars = walsh_characters(n, np.arange(1 << n))
+    else:
+        chars = model.coupling_structure().compact()[0]
+    return chars, (chars.T @ gaps) * chars[0] / (1 << n)
+
+
 def gap_matrix(model: CovarianceModel, partition: CoordinatePartition) -> np.ndarray:
     """Dense (2**n, 2**n) float matrix of gaps in enumeration order.
 
-    Generated models read it off the gap vector, gaps[s, t] =
-    gap_vector[s XOR t], so its 4**n entries hold the 2**n gaps the tree
-    audit checks, one per XOR word.  Custom models, whose matrices are
+    It serves the custom audit, the custom interpolation derivative (through
+    gap_expansion) and the tests, as the oracle of the vector and Walsh
+    forms; no generated-model path builds it.  Generated models read it off
+    the gap vector, gaps[s, t] = gap_vector[s XOR t], so its 4**n entries
+    hold the 2**n gaps, one per XOR word.  Custom models, whose matrices are
     stored, subtract the projected block matrices entry by entry.
     """
     n = partition.n

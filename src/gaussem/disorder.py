@@ -128,14 +128,21 @@ def make_sampler(model: CovarianceModel):
     Generated models draw through their coupling form (StructuralSampler).
     Custom models, and generated models whose character map is over the
     coupling budget, factorize the dense covariance (CholeskySampler), which
-    keeps its own MATRIX_CAP refusal.
+    keeps its own MATRIX_CAP refusal; a model refused by both is told both.
     """
+    budget = None
     if not isinstance(model, CustomModel):
         try:
             return StructuralSampler(model)
-        except ResourceCapExceeded:
-            pass
-    return CholeskySampler(model.covariance_matrix())
+        except ResourceCapExceeded as exc:
+            budget = exc
+    try:
+        covariance = model.covariance_matrix()
+    except ResourceCapExceeded as exc:
+        if budget is None:
+            raise
+        raise ResourceCapExceeded(f"{budget}; factorization fallback: {exc}") from exc
+    return CholeskySampler(covariance)
 
 
 def draw_disorder(model: CovarianceModel, policy: SeedPolicy, experiment: str,

@@ -13,15 +13,32 @@ average of (1/n) ln Z(t) equals
 
     -(beta**2 / 2) * < c_n - (n1/n) c_n1 - (n2/n) c_n2 >_t
 
-where <.>_t is the two-replica Gibbs expectation under H(., t), evaluated
-here by exact double enumeration per draw.  (Differentiating sqrt(t_j)
+where <.>_t is the two-replica Gibbs expectation under H(., t).  It is exact
+per draw; only the disorder average is sampled.  (Differentiating sqrt(t_j)
 produces the 1/2; the finite-difference cross-check pins the constant.)
+
+The expectation w @ G @ w over all 4**n replica pairs is computed in the
+Walsh basis of the gap, G = X diag(coef) X.T (audit.gap_expansion):
+
+    w @ G @ w = sum_S coef_S m_S**2,    m_S = sum_sigma w_sigma chi_S(sigma),
+
+with m_S the Gibbs mean of the character chi_S(sigma) = prod_{i in S}
+sigma_i.  For SK this is the overlap expansion sum_ij <s_i s_j>**2 of
+Guerra-Toninelli interpolation.  Sign rule: chi_S(sigma) = (-1)**(|S| -
+|S & sigma|) differs from the XOR-word character (-1)**|S & u| of the gap
+vector's Walsh-Hadamard transform by chi_S(0) = (-1)**|S|, so coef_S is
+that transform times chi_S(0) / 2**n; odd orders and rem depend on it.  No
+generated model builds the 4**n gap matrix: X has one column per character
+of the coupling map for overlap models (46 for SK(10)) and 2**n columns for
+tree models.  The Gibbs weights of a whole t grid come from one broadcast
+of the operations that give the weights of a single t, row for row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +62,18 @@ def _scales(partition: CoordinatePartition, beta: float, t: float) -> tuple[floa
     )
 
 
-def _logits(triple: JointDraw, beta: float, t: float) -> np.ndarray:
-    """-beta * H(., t) over all configurations, scalars folded first."""
-    s0, s1, s2 = _scales(triple.partition, beta, t)
+@lru_cache(maxsize=64)
+def _grid_scales(partition: CoordinatePartition, beta: float, ts: tuple[float, ...]
+                 ) -> np.ndarray:
+    """_scales of every t in ts as three (len(ts), 1) columns; one grid serves every draw."""
+    cols = np.array([_scales(partition, beta, t) for t in ts], dtype=float)
+    cols = cols.reshape(len(ts), 3).T[:, :, None]
+    cols.flags.writeable = False
+    return cols
+
+
+def _logits(triple: JointDraw, s0, s1, s2) -> np.ndarray:
+    """-beta * H(., t) over all configurations from the _scales of t, scalars folded first."""
     return s0 * triple.full.energies + s1 * triple.lift1.energies + s2 * triple.lift2.energies
 
 
@@ -68,21 +94,27 @@ def log_partition_t(triple: JointDraw, beta: float, t: float) -> float:
     """ln sum_sigma exp(-beta H(sigma, t)), overflow-free."""
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta!r}")
-    return triple.partition.n * LN2 + log_mean_exp(_logits(triple, beta, t))
+    return triple.partition.n * LN2 + log_mean_exp(
+        _logits(triple, *_scales(triple.partition, beta, t)))
 
 
 class TwoReplicaGibbs:
-    """Gibbs weights of one realization; a pair (sigma, tau) weighs single[sigma] * single[tau]."""
+    """Gibbs weights of one realization; a pair (sigma, tau) weighs single[sigma] * single[tau].
 
-    def __init__(self, triple: JointDraw, beta: float, t: float):
-        x = _logits(triple, beta, t)
-        w = np.exp(x - x.max())
-        w /= w.sum()
-        self.single = w
+    For a sequence of t, ``single`` has one row per t, equal to the weights
+    of that t alone: the rows broadcast the same elementwise operations.
+    """
+
+    def __init__(self, triple: JointDraw, beta: float, t):
+        grid = np.ndim(t) == 1
+        x = _logits(triple, *_grid_scales(triple.partition, beta, tuple(t) if grid else (t,)))
+        w = np.exp(x - x.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        self.single = w if grid else w[0]
 
 
 class _DerivativeMachine:
-    """Shared plumbing: one gap matrix, one triple sampler, per-draw values."""
+    """Shared plumbing: the gap in its Walsh basis, one triple sampler, per-draw values."""
 
     def __init__(self, model: CovarianceModel, partition: CoordinatePartition,
                  beta: float):
@@ -91,12 +123,13 @@ class _DerivativeMachine:
         self.model = model
         self.partition = partition
         self.beta = beta
-        self.gaps = audit_mod.gap_matrix(model, partition)
+        self.chars, self.coef = audit_mod.gap_expansion(model, partition)
         self.sampler = TripleSampler(model, partition)
 
-    def derivative_of_draw(self, triple: JointDraw, t: float) -> float:
-        w = TwoReplicaGibbs(triple, self.beta, t).single
-        return -(self.beta**2 / 2.0) * float(w @ self.gaps @ w)
+    def derivatives_of_draw(self, triple: JointDraw, ts) -> np.ndarray:
+        """-(beta**2 / 2) w @ G @ w of one draw, one value per t in ts."""
+        m = TwoReplicaGibbs(triple, self.beta, ts).single @ self.chars
+        return -(self.beta**2 / 2.0) * ((m * m) @ self.coef)
 
     def alpha_of_draw(self, triple: JointDraw, t: float) -> float:
         return log_partition_t(triple, self.beta, t) / self.partition.n
@@ -107,9 +140,9 @@ def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
                          experiment: str | None = None, threads: int = 1) -> QuenchedEstimate:
     """Monte Carlo estimate of d/dt of the averaged per-spin log partition sum.
 
-    The two-replica expectation is exact per draw (full double enumeration);
-    only the disorder average is sampled.  Endpoints t = 0, 1 are fine: the
-    evaluated expression has no 1/sqrt(t) singularities.
+    The two-replica expectation is exact per draw (in the Walsh basis of the
+    gap); only the disorder average is sampled.  Endpoints t = 0, 1 are
+    fine: the evaluated expression has no 1/sqrt(t) singularities.
     """
     machine = _DerivativeMachine(model, partition, beta)
     label = experiment or (
@@ -117,7 +150,7 @@ def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
     )
 
     def one(i: int) -> float:
-        return machine.derivative_of_draw(machine.sampler.draw(seeds, label, i), t)
+        return float(machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), (t,))[0])
 
     vals = np.array(pmap(one, range(samples), threads))
     mean, se = mean_and_se(vals)
@@ -186,15 +219,23 @@ class MonotonicityScan:
 def monotonicity_scan(model: CovarianceModel, partition: CoordinatePartition,
                       beta: float, t_grid, samples: int, seeds: SeedPolicy,
                       threads: int = 1) -> MonotonicityScan:
-    """Derivative estimates across a t grid; draws are shared across the grid."""
+    """Derivative estimates across a t grid; draws are shared across the grid.
+
+    Each draw gives its whole row of derivatives in one call, so only the
+    (samples, len(t_grid)) value table is kept, not the draws.
+    """
     machine = _DerivativeMachine(model, partition, beta)
     label = f"scan|{model.spec_string()}|mask={partition.mask}|beta={beta!r}"
-    triples = pmap(lambda i: machine.sampler.draw(seeds, label, i), range(samples), threads)
+    ts = [float(t) for t in t_grid]
+
+    def row(i: int) -> np.ndarray:
+        return machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), ts)
+
+    table = np.array(pmap(row, range(samples), threads)).reshape(samples, len(ts))
     points = []
-    for t in t_grid:
-        vals = np.array([machine.derivative_of_draw(tr, float(t)) for tr in triples])
+    for t, vals in zip(ts, np.ascontiguousarray(table.T)):
         mean, se = mean_and_se(vals)
         est = QuenchedEstimate(mean, se, samples, beta, partition.n, "dalpha/dt")
         verdict = "NONNEGATIVE" if mean >= -3.0 * se else "NEGATIVE"
-        points.append(ScanPoint(float(t), est, verdict))
+        points.append(ScanPoint(t, est, verdict))
     return MonotonicityScan(tuple(points))

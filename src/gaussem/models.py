@@ -123,11 +123,27 @@ def _character_form(n: int, scales: Mapping[int, float]):
             m = (m[:, None] ^ bits[None, :]).ravel()
         masks.append(m)
     chars, idx = np.unique(np.concatenate(masks), return_inverse=True)
-    c = np.arange(1 << n, dtype=np.int64)
-    # chi_S(c) = (-1)**(|S| - |S & c|): one factor -1 per coordinate of S that is down
-    parity = (np.bitwise_count(c[:, None] & chars[None, :]) + np.bitwise_count(chars)) & 1
     coef = np.concatenate([np.full(n**p, scale) for p, scale in scales.items()])
-    return 1.0 - 2.0 * parity, idx, coef
+    return walsh_characters(n, chars), idx, coef
+
+
+def walsh_characters(n: int, masks: np.ndarray) -> np.ndarray:
+    """(2**n, len(masks)) matrix whose column j is the character chi_S, S = masks[j].
+
+    chi_S(c) = prod_{i in S} s_i = (-1)**(|S| - |S & c|): one factor -1 per
+    coordinate of S that is down.  It differs from the XOR-word character
+    (-1)**|S & c| by the sign chi_S(0) = (-1)**|S|.  A matrix over the
+    coupling budget is refused before it is allocated.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    if (1 << n) * masks.size > COUPLING_CAP:
+        raise ResourceCapExceeded(
+            f"character matrix 2**{n} x {masks.size} exceeds the budget of "
+            f"{COUPLING_CAP} elements"
+        )
+    c = np.arange(1 << n, dtype=np.int64)
+    parity = (np.bitwise_count(c[:, None] & masks[None, :]) + np.bitwise_count(masks)) & 1
+    return 1.0 - 2.0 * parity
 
 
 class CovarianceModel:

@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .spins import extract_bits
 
@@ -49,6 +48,9 @@ def psd_factor(matrix: np.ndarray):
     the successive pivot values and ``resid_diag_min`` is the most negative
     diagonal entry of the factorization residual (0 for an exactly PSD input).
     """
+    # imported here: scipy.linalg costs about 0.3 s, and only factorization needs it
+    from scipy.linalg import lapack
+
     a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
     maxdiag = max(float(a.diagonal().max()), np.finfo(float).tiny)

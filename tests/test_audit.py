@@ -11,6 +11,7 @@ from gaussem.audit import (
     audit_partition,
     check_condition,
     condition_gap,
+    gap_expansion,
     gap_matrix,
     validate_psd,
 )
@@ -195,6 +196,46 @@ def test_kernel_gaps_match_dense_oracle(data):
         assert (report.max_gap, report.min_gap) == (oracle.max(), oracle.min())
         assert (report.witness_sigma.bits, report.witness_tau.bits) == (i, j)
         assert report.pairs_checked == 4**n
+
+
+def random_custom_model(data):
+    """Random correlation matrices for every size 1..n, so every split has its blocks."""
+    n = data.draw(st.integers(2, 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    family = {}
+    for k in range(1, n + 1):
+        a = rng.standard_normal((1 << k, int(rng.integers(1, (1 << k) + 1))))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        family[k] = a @ a.T
+    return CustomModel(family[n], family)
+
+
+def random_gap_model(data):
+    """Every model kind: the kernel models above or a custom family."""
+    if data.draw(st.booleans()):
+        return random_custom_model(data)
+    return random_kernel_model(data)
+
+
+@given(st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_gap_expansion_matches_gap_matrix(data):
+    # odd orders (pspin:1, pspin:3, mixed 1+3) and rem catch a missing chi_S(0) sign
+    model = random_gap_model(data)
+    n = model.n
+    partition = CoordinatePartition(n, data.draw(st.integers(1, (1 << n) - 2)))
+    chars, coef = gap_expansion(model, partition)
+    assert chars.shape == (1 << n, coef.size)
+    np.testing.assert_allclose(chars @ np.diag(coef) @ chars.T, gap_matrix(model, partition),
+                               rtol=0, atol=1e-13)
+
+
+def test_gap_expansion_uses_the_coupling_characters():
+    # SK(10): the 1 + C(10, 2) characters of the pair couplings, not all 1024
+    chars, _ = gap_expansion(SKModel(10), CoordinatePartition.canonical(10, 5))
+    assert chars.shape == (1024, 46)
+    chars, _ = gap_expansion(REMModel(4), CoordinatePartition.canonical(4, 2))
+    assert chars.shape == (16, 16)
 
 
 def test_grem_audit_never_builds_gap_matrix(monkeypatch):

@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,18 +119,45 @@ def test_superadd_runs(tmp_path):
 
 
 def test_interp_rerun_is_byte_identical(tmp_path):
-    args = ["interp", "--model", "sk", "--n", "4", "--n1", "2", "--beta", "1",
-            "--tgrid", "0.1:0.9:5", "--samples", "200", "--seed", "42"]
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    out3 = tmp_path / "c.csv"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert main(args + ["--threads", "4", "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_bytes() == out3.read_bytes()  # thread count never leaks into output
-    _, rows = read_rows(out1)
-    assert len(rows) == 5
+    tree = tmp_path / "tree4.txt"
+    tree.write_text("2 4\n2 2\n0.6 0.4\n")
+    cases = {
+        "sk": ["--model", "sk", "--n", "4", "--n1", "2"],
+        "pspin3": ["--model", "pspin:3", "--n", "5", "--n1", "2"],
+        "grem": ["--model", f"grem:{tree}", "--mask", "5"],
+    }
+    for name, model in cases.items():
+        args = ["interp", *model, "--beta", "1", "--tgrid", "0.1:0.9:5",
+                "--samples", "200", "--seed", "42"]
+        outs = [tmp_path / f"{name}{i}.csv" for i in range(3)]
+        statuses = [main(args + ["--threads", threads, "--out", str(out)])
+                    for threads, out in zip(("1", "1", "4"), outs)]
+        assert statuses == [statuses[0]] * 3 and statuses[0] in (0, 1), name
+        assert outs[0].read_bytes() == outs[1].read_bytes(), name
+        # thread count never leaks into output
+        assert outs[0].read_bytes() == outs[2].read_bytes(), name
+        _, rows = read_rows(outs[0])
+        assert len(rows) == 5
+        if name == "sk":
+            assert statuses[0] == 0
+
+
+def test_interp_runs_past_the_audit_cap(tmp_path):
+    # the derivative reads the 46 pair characters of SK(12), not a 4**12 gap matrix
+    out = tmp_path / "interp12.csv"
+    assert main(["interp", "--model", "sk", "--n", "12", "--n1", "6", "--beta", "1",
+                 "--samples", "4", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 9
+
+
+def test_import_leaves_scipy_unloaded():
+    # only factorization needs scipy.linalg; it is imported where it is used
+    code = "import sys, gaussem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_psd_command(tmp_path):
@@ -186,6 +217,15 @@ def test_alpha_samples_pspin_over_the_coupling_budget(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
     assert main(args + ["--method", "cholesky"]) == 2
     capsys.readouterr()
+
+
+def test_sampler_refusal_names_both_caps(capsys):
+    # SK(20): the character map is over the coupling budget and the dense
+    # covariance over the matrix cap; the message names both refusals
+    assert main(["alpha", "--model", "sk", "--n", "20", "--beta", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the budget of 50000000 elements" in err
+    assert "exceeds the matrix cap 12" in err
 
 
 def test_subcommand_options():

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_audit import random_gap_model
 
+from gaussem import audit
 from gaussem.audit import gap_matrix
 from gaussem.disorder import SeedPolicy, TripleSampler
 from gaussem.errors import ValidationError
 from gaussem.grem import validate_tree
 from gaussem.interpolation import (
     TwoReplicaGibbs,
+    _DerivativeMachine,
     derivative_estimator,
     finite_difference_check,
     interp_hamiltonian,
@@ -197,3 +201,52 @@ def test_odd_p_scan_runs_and_reports():
     assert len(scan.points) == 2
     for p in scan.points:
         assert p.verdict in ("NONNEGATIVE", "NEGATIVE")
+
+
+def single_t_weights(triple, beta, t):
+    """Gibbs weights of one t with scalar scales, as a draw's weights were first computed."""
+    p = triple.partition
+    s0 = beta * math.sqrt(t * p.n)
+    s1 = beta * math.sqrt((1.0 - t) * p.n1)
+    s2 = beta * math.sqrt((1.0 - t) * p.n2)
+    x = s0 * triple.full.energies + s1 * triple.lift1.energies + s2 * triple.lift2.energies
+    w = np.exp(x - x.max())
+    w /= w.sum()
+    return w
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_walsh_derivative_matches_dense_oracle(data):
+    model = random_gap_model(data)
+    n = model.n
+    partition = CoordinatePartition(n, data.draw(st.integers(1, (1 << n) - 2)))
+    beta = data.draw(st.floats(0.0, 2.0))
+    ts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    machine = _DerivativeMachine(model, partition, beta)
+    triple = machine.sampler.draw(POLICY, "walsh", data.draw(st.integers(0, 1000)))
+    weights = TwoReplicaGibbs(triple, beta, ts).single
+    values = machine.derivatives_of_draw(triple, ts)
+    gaps = gap_matrix(model, partition)
+    assert weights.shape == values.shape + (1 << n,)
+    for t, row, value in zip(ts, weights, values):
+        w = single_t_weights(triple, beta, t)
+        np.testing.assert_array_equal(row, w)  # the t grid is a broadcast, row for row
+        assert abs(value - (-(beta**2 / 2.0) * float(w @ gaps @ w))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "model,partition",
+    [
+        (SKModel(6), CoordinatePartition.canonical(6, 3)),
+        (GREMModel(validate_tree([2, 1, 2], [0.3, 0.3, 0.4], 5)), CoordinatePartition(5, 0b01101)),
+    ],
+)
+def test_scan_never_builds_gap_matrix(model, partition, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated models take the derivative in the Walsh basis")
+
+    monkeypatch.setattr(audit, "gap_matrix", refuse)
+    scan = monotonicity_scan(model, partition, 1.0, [0.2, 0.8], 50, POLICY)
+    assert len(scan.points) == 2
+    assert derivative_estimator(model, partition, 1.0, 0.5, 20, POLICY).samples == 20
