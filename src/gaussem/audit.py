@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
-from .models import CovarianceModel, CustomModel, walsh_characters
+from .models import CovarianceModel, CustomModel
 from .spins import CoordinatePartition, SpinConfig, enumerate_partitions, project
 from .util import extract_map, psd_factor
 
@@ -253,24 +253,20 @@ def gap_expansion(model: CovarianceModel, partition: CoordinatePartition
 
     A generated gap is an XOR kernel, so it is diagonal in the Walsh basis:
     gap[s XOR t] = sum_S ghat(S) chi_S(s) chi_S(t) / 2**n with ghat the
-    Walsh-Hadamard transform of the gap vector.  X holds the characters on
-    which ghat can be nonzero: those of the coupling map for overlap models
-    (|S| <= p with the parity of p), all 2**n for tree models.  Since
-    X.T @ gap_vector = chi_S(0) * ghat(S) (see models.walsh_characters),
-    coef = (X.T @ gap_vector) * X[0] / 2**n.  Custom gaps are stored, not
+    Walsh-Hadamard transform of the gap vector.  X is model.characters(),
+    the characters on which ghat can be nonzero: |S| <= p with the parity of
+    p for overlap models (the kernel and both block kernels are polynomials
+    of order p in the spins), all 2**n for tree models.  Since X.T @
+    gap_vector = chi_S(0) * ghat(S) (see models.walsh_characters), coef =
+    (X.T @ gap_vector) * X[0] / 2**n.  Custom gaps are stored, not
     generated; their X and coef are the eigenvectors and eigenvalues of the
     dense gap matrix, so AUDIT_CAP bounds them.
     """
     if isinstance(model, CustomModel):
         coef, chars = np.linalg.eigh(gap_matrix(model, partition))
         return chars, coef
-    n = partition.n
-    gaps = gap_vector(model, partition)
-    if model.kind in ("rem", "grem"):
-        chars = walsh_characters(n, np.arange(1 << n))
-    else:
-        chars = model.coupling_structure().compact()[0]
-    return chars, (chars.T @ gaps) * chars[0] / (1 << n)
+    chars = model.characters()
+    return chars, (chars.T @ gap_vector(model, partition)) * chars[0] / (1 << partition.n)
 
 
 def gap_matrix(model: CovarianceModel, partition: CoordinatePartition) -> np.ndarray:

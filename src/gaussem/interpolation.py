@@ -28,17 +28,18 @@ Guerra-Toninelli interpolation.  Sign rule: chi_S(sigma) = (-1)**(|S| -
 |S & sigma|) differs from the XOR-word character (-1)**|S & u| of the gap
 vector's Walsh-Hadamard transform by chi_S(0) = (-1)**|S|, so coef_S is
 that transform times chi_S(0) / 2**n; odd orders and rem depend on it.  No
-generated model builds the 4**n gap matrix: X has one column per character
-of the coupling map for overlap models (46 for SK(10)) and 2**n columns for
+generated model builds the 4**n gap matrix: X is the model's character
+matrix, shared with its sampler, with one column per character the
+couplings reach for overlap models (46 for SK(10)) and 2**n columns for
 tree models.  The Gibbs weights of a whole t grid come from one broadcast
-of the operations that give the weights of a single t, row for row.
+of the operations that give the weights of a single t, row for row; the
+grid's scales are computed once per call (blend_scales).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,14 +63,10 @@ def _scales(partition: CoordinatePartition, beta: float, t: float) -> tuple[floa
     )
 
 
-@lru_cache(maxsize=64)
-def _grid_scales(partition: CoordinatePartition, beta: float, ts: tuple[float, ...]
-                 ) -> np.ndarray:
-    """_scales of every t in ts as three (len(ts), 1) columns; one grid serves every draw."""
-    cols = np.array([_scales(partition, beta, t) for t in ts], dtype=float)
-    cols = cols.reshape(len(ts), 3).T[:, :, None]
-    cols.flags.writeable = False
-    return cols
+def blend_scales(partition: CoordinatePartition, beta: float, ts) -> np.ndarray:
+    """_scales of every t in ts as three (len(ts), 1) columns, for TwoReplicaGibbs."""
+    cols = np.array([_scales(partition, beta, t) for t in ts], dtype=float).reshape(-1, 3)
+    return cols.T[:, :, None]
 
 
 def _logits(triple: JointDraw, s0, s1, s2) -> np.ndarray:
@@ -101,16 +98,16 @@ def log_partition_t(triple: JointDraw, beta: float, t: float) -> float:
 class TwoReplicaGibbs:
     """Gibbs weights of one realization; a pair (sigma, tau) weighs single[sigma] * single[tau].
 
-    For a sequence of t, ``single`` has one row per t, equal to the weights
-    of that t alone: the rows broadcast the same elementwise operations.
+    ``scales`` is blend_scales(partition, beta, ts) of a t grid, computed
+    once per grid.  ``single`` has one row per t, equal to the weights of
+    that t alone: the rows broadcast the same elementwise operations.
     """
 
-    def __init__(self, triple: JointDraw, beta: float, t):
-        grid = np.ndim(t) == 1
-        x = _logits(triple, *_grid_scales(triple.partition, beta, tuple(t) if grid else (t,)))
+    def __init__(self, triple: JointDraw, scales: np.ndarray):
+        x = _logits(triple, *scales)
         w = np.exp(x - x.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        self.single = w if grid else w[0]
+        self.single = w
 
 
 class _DerivativeMachine:
@@ -126,9 +123,9 @@ class _DerivativeMachine:
         self.chars, self.coef = audit_mod.gap_expansion(model, partition)
         self.sampler = TripleSampler(model, partition)
 
-    def derivatives_of_draw(self, triple: JointDraw, ts) -> np.ndarray:
-        """-(beta**2 / 2) w @ G @ w of one draw, one value per t in ts."""
-        m = TwoReplicaGibbs(triple, self.beta, ts).single @ self.chars
+    def derivatives_of_draw(self, triple: JointDraw, scales: np.ndarray) -> np.ndarray:
+        """-(beta**2 / 2) w @ G @ w of one draw, one value per t of blend_scales(.., ts)."""
+        m = TwoReplicaGibbs(triple, scales).single @ self.chars
         return -(self.beta**2 / 2.0) * ((m * m) @ self.coef)
 
     def alpha_of_draw(self, triple: JointDraw, t: float) -> float:
@@ -148,9 +145,10 @@ def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
     label = experiment or (
         f"deriv|{model.spec_string()}|mask={partition.mask}|beta={beta!r}|t={t!r}"
     )
+    scales = blend_scales(partition, beta, [t])
 
     def one(i: int) -> float:
-        return float(machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), (t,))[0])
+        return float(machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), scales)[0])
 
     vals = np.array(pmap(one, range(samples), threads))
     mean, se = mean_and_se(vals)
@@ -227,9 +225,10 @@ def monotonicity_scan(model: CovarianceModel, partition: CoordinatePartition,
     machine = _DerivativeMachine(model, partition, beta)
     label = f"scan|{model.spec_string()}|mask={partition.mask}|beta={beta!r}"
     ts = [float(t) for t in t_grid]
+    scales = blend_scales(partition, beta, ts)
 
     def row(i: int) -> np.ndarray:
-        return machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), ts)
+        return machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), scales)
 
     table = np.array(pmap(row, range(samples), threads)).reshape(samples, len(ts))
     points = []

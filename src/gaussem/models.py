@@ -99,16 +99,24 @@ def _tensor_rows(signs: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _character_form(n: int, scales: Mapping[int, float]):
+def _character_sizes(n: int, orders) -> list[int]:
+    """|S| of the characters the order-p couplings reach, p in orders.
+
+    Coupling (i1, .., ip) is the character of the index set S appearing an
+    odd number of times, so |S| has the parity of p and is at most min(p, n);
+    every such S is reached.
+    """
+    return sorted({s for p in orders for s in range(p % 2, min(p, n) + 1, 2)})
+
+
+def _character_form(n: int, scales: Mapping[int, float], characters: Callable[[], np.ndarray]):
     """Compact coupling map (X, idx, coef) of the order-p couplings scaled by scales[p].
 
-    Coupling (i1, .., ip), flattened like ``_tensor_rows``, is the character
-    of the index set S appearing an odd number of times, so its |S| has the
-    parity of p and is at most min(p, n); that fixes k before anything is
-    allocated.
+    Couplings are flattened like ``_tensor_rows``.  X = characters() is the
+    model's walsh_characters; the counts of ``_character_sizes`` fix its
+    width k before anything is allocated.
     """
-    sizes = {s for p in scales for s in range(p % 2, min(p, n) + 1, 2)}
-    k = sum(math.comb(n, s) for s in sizes)
+    k = sum(math.comb(n, s) for s in _character_sizes(n, scales))
     n_couplings = sum(n**p for p in scales)
     if max((1 << n) * k, n_couplings) > COUPLING_CAP:
         raise ResourceCapExceeded(
@@ -122,9 +130,10 @@ def _character_form(n: int, scales: Mapping[int, float]):
         for _ in range(p):
             m = (m[:, None] ^ bits[None, :]).ravel()
         masks.append(m)
-    chars, idx = np.unique(np.concatenate(masks), return_inverse=True)
+    # the distinct masks, ascending, are the model's walsh_support
+    _, idx = np.unique(np.concatenate(masks), return_inverse=True)
     coef = np.concatenate([np.full(n**p, scale) for p, scale in scales.items()])
-    return walsh_characters(n, chars), idx, coef
+    return characters(), idx, coef
 
 
 def walsh_characters(n: int, masks: np.ndarray) -> np.ndarray:
@@ -157,6 +166,7 @@ class CovarianceModel:
         if n < 1:
             raise ValidationError(f"system size must be >= 1, got {n}")
         self.n = int(n)
+        self._characters: np.ndarray | None = None
 
     # -- covariance ---------------------------------------------------------
 
@@ -185,6 +195,26 @@ class CovarianceModel:
         audited through one gap per XOR word, which covers all 4**n pairs.
         """
         raise NotImplementedError
+
+    def walsh_support(self) -> np.ndarray:
+        """Ascending masks S of the characters chi_S that can carry weight in ``kernel``.
+
+        All 2**n by default; overlap models narrow it to the characters of
+        their couplings.
+        """
+        return np.arange(1 << self.n, dtype=np.int64)
+
+    def characters(self) -> np.ndarray:
+        """walsh_characters over walsh_support, built once per model and shared read-only.
+
+        The structural sampler and the Walsh form of the condition gap
+        (audit.gap_expansion) read the same matrix.
+        """
+        if self._characters is None:
+            chars = walsh_characters(self.n, self.walsh_support())
+            chars.flags.writeable = False
+            self._characters = chars
+        return self._characters
 
     # -- family structure ---------------------------------------------------
 
@@ -246,6 +276,10 @@ class _OverlapPolynomialModel(CovarianceModel):
         u = np.arange(1 << self.n, dtype=np.int64)
         return self.psi_float(1.0 - 2.0 * popcount(u) / self.n)
 
+    def walsh_support(self) -> np.ndarray:
+        u = np.arange(1 << self.n, dtype=np.int64)
+        return u[np.isin(popcount(u), _character_sizes(self.n, self.orders))]
+
     def at_size(self, n: int) -> "CovarianceModel":
         return type(self)(n)
 
@@ -260,7 +294,7 @@ class _OverlapPolynomialModel(CovarianceModel):
         groups = tuple((f"J[i1..i{p}] scaled by sqrt(w_{p}) n**(-{p}/2)", n**p) for p in scales)
         return CouplingStructure(
             "E = sum_p sqrt(w_p) n**(-p/2) sum J[i1..ip] s_i1..s_ip", n, groups, build,
-            lambda: _character_form(n, scales),
+            lambda: _character_form(n, scales, self.characters),
         )
 
 

@@ -232,10 +232,26 @@ def test_gap_expansion_matches_gap_matrix(data):
 
 def test_gap_expansion_uses_the_coupling_characters():
     # SK(10): the 1 + C(10, 2) characters of the pair couplings, not all 1024
-    chars, _ = gap_expansion(SKModel(10), CoordinatePartition.canonical(10, 5))
+    sk = SKModel(10)
+    chars, _ = gap_expansion(sk, CoordinatePartition.canonical(10, 5))
     assert chars.shape == (1024, 46)
+    # one matrix per model, shared with the structural sampler
+    assert chars is sk.coupling_structure().compact()[0]
     chars, _ = gap_expansion(REMModel(4), CoordinatePartition.canonical(4, 2))
     assert chars.shape == (16, 16)
+
+
+def test_gap_expansion_ignores_the_coupling_count():
+    # pspin:10 at n=6 has 6**10 couplings, over the budget, but its gap lives
+    # on the 32 characters with |S| in {0, 2, 4, 6}
+    model = PSpinModel(6, 10)
+    partition = CoordinatePartition.canonical(6, 3)
+    with pytest.raises(ResourceCapExceeded):
+        model.coupling_structure().compact()
+    chars, coef = gap_expansion(model, partition)
+    assert chars.shape == (64, 32)
+    np.testing.assert_allclose(chars @ np.diag(coef) @ chars.T, gap_matrix(model, partition),
+                               rtol=0, atol=1e-13)
 
 
 def test_grem_audit_never_builds_gap_matrix(monkeypatch):

@@ -219,6 +219,16 @@ def test_alpha_samples_pspin_over_the_coupling_budget(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_interp_pspin_over_the_coupling_budget(tmp_path):
+    # 6**10 couplings: the draws factorize the covariance, and the derivative
+    # reads the 32 characters of the gap, whatever the number of couplings
+    out = tmp_path / "interp.csv"
+    assert main(["interp", "--model", "pspin:10", "--n", "6", "--n1", "3", "--beta", "1",
+                 "--samples", "20", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 9
+
+
 def test_sampler_refusal_names_both_caps(capsys):
     # SK(20): the character map is over the coupling budget and the dense
     # covariance over the matrix cap; the message names both refusals

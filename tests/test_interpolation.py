@@ -13,6 +13,7 @@ from gaussem.grem import validate_tree
 from gaussem.interpolation import (
     TwoReplicaGibbs,
     _DerivativeMachine,
+    blend_scales,
     derivative_estimator,
     finite_difference_check,
     interp_hamiltonian,
@@ -95,7 +96,8 @@ def test_two_replica_weights_normalized():
     p = CoordinatePartition.canonical(4, 2)
     sampler = TripleSampler(model, p)
     for i in range(20):
-        gibbs = TwoReplicaGibbs(sampler.draw(POLICY, "gibbs", i), 1.5, 0.3)
+        gibbs = TwoReplicaGibbs(sampler.draw(POLICY, "gibbs", i), blend_scales(p, 1.5, [0.3]))
+        assert gibbs.single.shape == (1, 16)
         assert abs(gibbs.single.sum() - 1.0) < 1e-12
 
 
@@ -225,8 +227,9 @@ def test_walsh_derivative_matches_dense_oracle(data):
     ts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
     machine = _DerivativeMachine(model, partition, beta)
     triple = machine.sampler.draw(POLICY, "walsh", data.draw(st.integers(0, 1000)))
-    weights = TwoReplicaGibbs(triple, beta, ts).single
-    values = machine.derivatives_of_draw(triple, ts)
+    scales = blend_scales(partition, beta, ts)
+    weights = TwoReplicaGibbs(triple, scales).single
+    values = machine.derivatives_of_draw(triple, scales)
     gaps = gap_matrix(model, partition)
     assert weights.shape == values.shape + (1 << n,)
     for t, row, value in zip(ts, weights, values):
