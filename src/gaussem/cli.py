@@ -372,8 +372,8 @@ def _cmd_sample_dump(args: argparse.Namespace) -> int:
     sampler = make_sampler(model)
     label = f"{model.spec_string()}/dump"
     draws = [
-        DisorderDraw(model.n, sampler.sample(seeds.stream("dump", i)), (label, args.seed, i))
-        for i in range(args.samples)
+        DisorderDraw(model.n, sampler.sample(rng), (label, args.seed, i))
+        for i, rng in enumerate(seeds.streams("dump", range(args.samples)))
     ]
     if args.out == "-":
         write_draws(sys.stdout, draws)

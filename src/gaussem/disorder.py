@@ -1,9 +1,9 @@
 """Disorder realizations with prescribed covariance and reproducible streams.
 
 Streams are counter-based: draw i of experiment e under master seed s uses a
-Philox generator keyed by (s, sha256(e)) with counter i, so distinct draws
-are independent, order does not matter, and concurrent generation is
-race-free and bit-reproducible.
+Philox generator keyed by sha256(s|e|i) with its counter at zero, so
+distinct draws are independent, order does not matter, and concurrent
+generation is race-free and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,23 +29,54 @@ FACTOR_RTOL = 1e-8
 class SeedPolicy:
     """Derives one independent Gaussian stream per (experiment, draw index).
 
-    The (master seed, experiment label, draw index) triple is hashed into the
-    128-bit Philox key; distinct keys give independent streams, and the
-    counter (which Philox advances block by block while generating) always
-    starts at zero.
+    The (master seed, experiment label, draw index) triple is hashed with
+    sha256, and the first two 64-bit words of the digest key a Philox
+    generator whose counter starts at zero.  The key is not the full
+    128-bit hash: the two words go through ``np.asarray([a, b])``, which
+    promotes a pair with one word at or above 2**63 and one below it to
+    float64, so about half of all keys are rounded (see ``key``).  This is
+    kept, so that every draw stays what it was, until a change that fixes
+    the key re-records every output that depends on it.
     """
 
     master_seed: int = 0
 
-    def stream(self, experiment: str, draw: int) -> np.random.Generator:
+    def key(self, experiment: str, draw: int) -> np.ndarray:
+        """The Philox key of one draw, as two uint64 words.
+
+        The words are converted the way ``Philox(key=[a, b])`` converts a
+        list of Python ints, float64 rounding of mixed pairs included.
+        """
         digest = hashlib.sha256(
             f"{self.master_seed}|{experiment}|{draw}".encode("utf-8")
         ).digest()
-        key = [
-            int.from_bytes(digest[:8], "big"),
-            int.from_bytes(digest[8:16], "big"),
-        ]
-        return np.random.Generator(np.random.Philox(counter=0, key=key))
+        words = [int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")]
+        return np.asarray(words).astype(np.uint64)
+
+    def stream(self, experiment: str, draw: int) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.Philox(counter=0, key=self.key(experiment, draw))
+        )
+
+    def streams(self, experiment: str,
+                draws: Iterable[int]) -> Iterator[np.random.Generator]:
+        """One generator per draw index, equal bit for bit to ``stream``.
+
+        A single generator is built and re-keyed for each index (counter 0,
+        empty buffer), which costs a fraction of building a new one.  The
+        yielded generator is only valid until the next iteration: keep the
+        numbers drawn from it, not the generator.
+        """
+        rng = np.random.Generator(np.random.Philox(counter=0, key=[0, 0]))
+        # the setter copies the arrays, so one state dict serves every draw
+        zeros = np.zeros(4, dtype=np.uint64)
+        keyed = {"counter": zeros, "key": zeros[:2]}
+        state = {"bit_generator": "Philox", "state": keyed, "buffer": zeros,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for draw in draws:
+            keyed["key"] = self.key(experiment, draw)
+            rng.bit_generator.state = state
+            yield rng
 
 
 @dataclass(frozen=True)

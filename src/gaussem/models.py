@@ -150,9 +150,15 @@ def walsh_characters(n: int, masks: np.ndarray) -> np.ndarray:
             f"character matrix 2**{n} x {masks.size} exceeds the budget of "
             f"{COUPLING_CAP} elements"
         )
+    out = np.empty((1 << n, masks.size))
     c = np.arange(1 << n, dtype=np.int64)
-    parity = (np.bitwise_count(c[:, None] & masks[None, :]) + np.bitwise_count(masks)) & 1
-    return 1.0 - 2.0 * parity
+    weights = np.bitwise_count(masks)
+    # row slices of about 2**16 entries keep the temporaries small and the writes contiguous
+    step = max(1, (1 << 16) // max(masks.size, 1))
+    for lo in range(0, 1 << n, step):
+        parity = (np.bitwise_count(c[lo:lo + step, None] & masks[None, :]) + weights) & 1
+        np.subtract(1.0, 2.0 * parity, out=out[lo:lo + step])
+    return out
 
 
 class CovarianceModel:

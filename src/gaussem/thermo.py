@@ -6,12 +6,19 @@ is Monte Carlo.  Per-spin quantities use the decomposition
     (1/n) ln sum_s exp(x_s) = ln 2 + (max x + ln mean exp(x - max x)) / n
 
 which is overflow-free and returns ln 2 exactly at beta = 0.
+
+Estimators draw and reduce their realizations in blocks of a fixed number
+of draws, set by n alone (BLOCK_ENERGIES energies per block), never by the
+thread count.  Each row of a block goes through the same operations as
+alpha_of_energies on that one draw, so every estimate is the same, byte for
+byte, at any block size and any --threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +29,9 @@ from .spins import CoordinatePartition
 from .util import log_mean_exp, pmap
 
 LN2 = math.log(2.0)
+
+#: energies per block of draws (512 KB of float64); a block holds at least one draw
+BLOCK_ENERGIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,21 +77,48 @@ def jensen_bound(beta: float) -> float:
     return LN2 + beta * beta / 2.0
 
 
+def alpha_of_draws(sample: Callable[[np.random.Generator], np.ndarray], n: int,
+                   beta: float, samples: int, seeds: SeedPolicy, label: str,
+                   threads: int = 1) -> np.ndarray:
+    """(1/n) ln Z of draws 0..samples-1 of experiment ``label``, in draw order.
+
+    ``sample`` maps a draw's generator to its 2**n energies.  Blocks of
+    ``max(1, BLOCK_ENERGIES >> n)`` draws are filled row by row and reduced
+    together; row for row this is the operation sequence of
+    alpha_of_energies, so the values are bit-identical to it.
+    """
+    if beta < 0:
+        raise ValidationError(f"beta must be >= 0, got {beta!r}")
+    if samples < 2:
+        raise ValidationError("error bars need at least 2 samples")
+    rows = max(1, BLOCK_ENERGIES >> n)
+    scale = beta * math.sqrt(n)
+
+    def block(start: int) -> list[float]:
+        x = np.empty((min(rows, samples - start), 1 << n))
+        for row, rng in zip(x, seeds.streams(label, range(start, start + len(x)))):
+            row[:] = sample(rng)
+        x *= scale
+        if np.isnan(x).any():
+            raise ValidationError("energies contain NaN")
+        m = x.max(axis=1)
+        x -= m[:, None]
+        np.exp(x, out=x)
+        means = x.mean(axis=1)
+        return [LN2 + (float(mi) + math.log(float(me))) / n for mi, me in zip(m, means)]
+
+    blocks = pmap(block, range(0, samples, rows), threads)
+    return np.array([v for b in blocks for v in b])
+
+
 def quenched_alpha(model: CovarianceModel, beta: float, samples: int, seeds: SeedPolicy,
                    experiment: str | None = None, threads: int = 1) -> QuenchedEstimate:
     """Monte Carlo estimate of the disorder-averaged per-spin log partition sum."""
-    if samples < 2:
-        raise ValidationError("error bars need at least 2 samples")
     label = experiment or f"alpha|{model.spec_string()}|n={model.n}|beta={beta!r}"
     sampler = make_sampler(model)
-    n = model.n
-
-    def one(i: int) -> float:
-        return alpha_of_energies(sampler.sample(seeds.stream(label, i)), n, beta)
-
-    vals = np.array(pmap(one, range(samples), threads))
+    vals = alpha_of_draws(sampler.sample, model.n, beta, samples, seeds, label, threads)
     mean, se = mean_and_se(vals)
-    return QuenchedEstimate(mean, se, samples, beta, n, "alpha")
+    return QuenchedEstimate(mean, se, samples, beta, model.n, "alpha")
 
 
 @dataclass(frozen=True)
@@ -154,13 +191,10 @@ def sk_rescaling_check(n: int, beta: float, samples: int, seeds: SeedPolicy,
     w = _triangular_pair_weights(n)
     label = f"sk_standard|n={n}|beta={beta!r}"
 
-    def one(i: int) -> float:
-        g = seeds.stream(label, i).standard_normal(w.shape[1])
-        return alpha_of_energies(w @ g, n, beta_std)
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        return w @ rng.standard_normal(w.shape[1])
 
-    if samples < 2:
-        raise ValidationError("error bars need at least 2 samples")
-    vals = np.array(pmap(one, range(samples), threads))
+    vals = alpha_of_draws(sample, n, beta_std, samples, seeds, label, threads)
     mean, se = mean_and_se(vals)
     a_std = QuenchedEstimate(mean, se, samples, beta_std, n, "alpha_sk_standard")
     a_full = quenched_alpha(SKModel(n), beta, samples, seeds, threads=threads)

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussem import cli
+from gaussem import cli, thermo
 from gaussem.cli import build_parser, main, parse_model
+from gaussem.disorder import DisorderDraw, SeedPolicy, make_sampler, write_draws
 from gaussem.errors import ValidationError
 from gaussem.models import GREMModel, MixedModel, PSpinModel, REMModel, SKModel
 
@@ -192,6 +194,49 @@ def test_sample_dump_deterministic(tmp_path):
     rows = [[float(tok) for tok in ln.split()] for ln in out1.read_text().splitlines()]
     assert len(rows) == 5
     assert all(len(r) == 8 for r in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ["alpha", "--model", "sk", "--n", "8", "--beta", "0.5,2"],
+    ["superadd", "--model", "sk", "--n", "8", "--n1", "4", "--beta", "1"],
+])
+def test_estimates_same_bytes_at_any_threads_and_block_size(tmp_path, monkeypatch, command):
+    # 257 draws of SK(8) straddle the default block of 256 rows
+    args = command + ["--samples", "257", "--seed", "5"]
+    outputs = []
+    for block in (thermo.BLOCK_ENERGIES, 1 << 10):
+        monkeypatch.setattr(thermo, "BLOCK_ENERGIES", block)
+        for threads in ("1", "2"):
+            out = tmp_path / f"{block}.{threads}.csv"
+            assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_sample_dump_equals_per_draw_streams(tmp_path):
+    out = tmp_path / "d.txt"
+    assert main(["sample-dump", "--model", "sk", "--n", "4", "--samples", "6",
+                 "--seed", "9", "--out", str(out)]) == 0
+    model, seeds = SKModel(4), SeedPolicy(9)
+    sampler = make_sampler(model)
+    expected = io.StringIO()
+    write_draws(expected, [
+        DisorderDraw(4, sampler.sample(seeds.stream("dump", i)), ("sk", 9, i))
+        for i in range(6)
+    ])
+    assert out.read_text() == expected.getvalue()
+
+
+def test_alpha_does_not_build_a_generator_per_draw(tmp_path, monkeypatch):
+    def refuse(self, experiment, draw):
+        raise AssertionError("estimators re-key one generator per block")
+
+    monkeypatch.setattr(SeedPolicy, "stream", refuse)
+    out = tmp_path / "a.csv"
+    assert main(["alpha", "--model", "sk", "--n", "6", "--beta", "1",
+                 "--samples", "20", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 1
 
 
 def test_sample_dump_builds_one_sampler(tmp_path, monkeypatch):

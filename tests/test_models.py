@@ -16,6 +16,7 @@ from gaussem.models import (
     PSpinModel,
     REMModel,
     SKModel,
+    walsh_characters,
 )
 from gaussem.grem import validate_tree
 from gaussem.spins import CoordinatePartition, SpinConfig, enumerate_configs
@@ -206,6 +207,19 @@ def test_coupling_maps_refuse_beyond_budget():
     assert x.shape == (4096, 562)
     e = StructuralSampler(model).sample(SeedPolicy(3).stream("p4", 0))
     assert e.shape == (4096,) and np.isfinite(e).all()
+
+
+@pytest.mark.parametrize("n, masks", [
+    (9, np.arange(512)),                     # slices of 128 rows
+    (10, np.array([0, 3, 1023, 512, 7])),    # one slice
+    (16, np.array([0b11, 1 << 15])),         # slices of 32768 rows
+    (4, np.array([], dtype=np.int64)),
+])
+def test_walsh_characters_sliced_build_matches_formula(n, masks):
+    # one factor -1 per coordinate of S that is down (bit clear)
+    c = np.arange(1 << n, dtype=np.int64)
+    expected = (-1.0) ** np.bitwise_count(~c[:, None] & masks[None, :])
+    assert walsh_characters(n, masks).tobytes() == expected.tobytes()
 
 
 def test_custom_model_checks():

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaussem.disorder import DisorderDraw, SeedPolicy
+from gaussem import thermo
+from gaussem.disorder import DisorderDraw, SeedPolicy, make_sampler
 from gaussem.errors import ValidationError
-from gaussem.models import PSpinModel, REMModel, SKModel
+from gaussem.grem import validate_tree
+from gaussem.models import CustomModel, GREMModel, MixedModel, PSpinModel, REMModel, SKModel
 from gaussem.spins import CoordinatePartition
 from gaussem.thermo import (
     LN2,
     QuenchedEstimate,
+    alpha_of_draws,
+    alpha_of_energies,
     jensen_bound,
     log_partition,
     quenched_alpha,
@@ -74,6 +79,64 @@ def test_alpha_beta_zero_exact():
         est = quenched_alpha(model, 0.0, 10, POLICY)
         assert est.value == LN2
         assert est.std_error == 0.0
+
+
+BLOCK_MODELS = [
+    SKModel,
+    *(lambda n, p=p: PSpinModel(n, p) for p in (1, 2, 3, 4)),
+    lambda n: MixedModel(n, {2: 0.5, 4: 0.5}),
+    REMModel,
+    lambda n: GREMModel(validate_tree([n // 2, n - n // 2], [0.4, 0.6], n)),
+    lambda n: GREMModel(validate_tree([1] * n, [1.0 / n] * n, n)),
+    lambda n: CustomModel(SKModel(n).covariance_matrix()),
+]
+
+
+@given(st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_alpha_of_draws_equals_per_draw_oracle(data):
+    make = data.draw(st.sampled_from(BLOCK_MODELS))
+    model = make(data.draw(st.integers(2, 7)))
+    n = model.n
+    beta = data.draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0))
+    rows = data.draw(st.integers(1, 5))
+    samples = data.draw(st.sampled_from(
+        [s for s in (2, rows - 1, rows, rows + 1, 2 * rows + 3) if s >= 2]))
+    threads = data.draw(st.sampled_from([1, 2]))
+    sampler = make_sampler(model)
+    policy = SeedPolicy(data.draw(st.integers(0, 2**32)))
+    oracle = np.array([
+        alpha_of_energies(sampler.sample(policy.stream("blocks", i)), n, beta)
+        for i in range(samples)
+    ])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermo, "BLOCK_ENERGIES", rows << n)
+        vals = alpha_of_draws(sampler.sample, n, beta, samples, policy, "blocks", threads)
+    assert vals.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_alpha_of_draws_rejects_nan_negative_beta_and_one_sample(monkeypatch):
+    monkeypatch.setattr(thermo, "BLOCK_ENERGIES", 3 << 2)
+    calls = []
+
+    def nan_on_fifth(rng):
+        calls.append(1)
+        e = rng.standard_normal(4)
+        if len(calls) == 5:
+            e[2] = np.nan
+        return e
+
+    with pytest.raises(ValidationError, match="NaN"):
+        alpha_of_draws(nan_on_fifth, 2, 1.0, 7, POLICY, "nan")
+    # beta = 0 times an infinite energy is NaN, as in alpha_of_energies
+    with pytest.raises(ValidationError, match="NaN"):
+        alpha_of_draws(lambda rng: np.full(4, np.inf), 2, 0.0, 3, POLICY, "inf")
+    sample = make_sampler(SKModel(2)).sample
+    with pytest.raises(ValidationError, match="beta"):
+        alpha_of_draws(sample, 2, -1.0, 5, POLICY, "neg")
+    with pytest.raises(ValidationError, match="2 samples"):
+        alpha_of_draws(sample, 2, 1.0, 1, POLICY, "one")
 
 
 def test_jensen_bound_values():
