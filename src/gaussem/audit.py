@@ -9,11 +9,16 @@ The condition of interest is gap <= 0 for every pair.  Diagonal pairs give
 gap = 0 identically, so the reported maximum is never negative; a violation
 means some pair exceeds the tolerance.
 
-Models whose covariance depends on a pair only through the per-block
-disagreement counts (d1, d2) are audited exactly: the (n1+1)(n2+1) count
-classes partition all 4**n ordered pairs, each class is evaluated once in
-rational arithmetic, and a canonical witness is rebuilt from the extremal
-class.
+Models with a count kernel (overlap models and the REM) are audited
+exactly.  Their covariance depends on a pair only through its disagreement
+count, k_n[d] = psi(1 - 2d/n) (the Kronecker delta [d == 0] for the REM), so
+a pair with d1 disagreements in block 1 and d2 in block 2 has the gap
+
+    k_n[d1 + d2] - (n1/n) k_n1[d1] - (n2/n) k_n2[d2]
+
+The (n1+1)(n2+1) count classes partition all 4**n ordered pairs; each class
+is one rational number, and a canonical witness is rebuilt from the first
+maximal class.
 
 Every generated covariance is an XOR kernel, c(sigma, tau) = K[sigma XOR tau],
 and the projections are XOR-linear, so the gap of a pair is a function of
@@ -26,6 +31,7 @@ generated, are audited over the full dense pair grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 from .models import CovarianceModel, CustomModel
-from .spins import CoordinatePartition, SpinConfig, enumerate_partitions, project
+from .spins import CoordinatePartition, SpinConfig, deposit_bits, enumerate_partitions, project
 from .util import extract_map, psd_factor
 
 VERDICT_HOLDS = "HOLDS"
@@ -114,8 +120,13 @@ class AuditResult:
         return max(self.reports, key=lambda r: r.max_gap)
 
 
-def default_tolerance(model: CovarianceModel) -> float:
-    return FLOAT_TOL if isinstance(model, CustomModel) else EXACT_TOL
+def default_tolerance(model: CovarianceModel, tolerance: float | None = None) -> float:
+    """The model's default gap tolerance, or ``tolerance`` once it is finite and >= 0."""
+    if tolerance is None:
+        return FLOAT_TOL if isinstance(model, CustomModel) else EXACT_TOL
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return tolerance
 
 
 def check_condition(model: CovarianceModel, mode: str = "canonical",
@@ -126,7 +137,7 @@ def check_condition(model: CovarianceModel, mode: str = "canonical",
         raise ResourceCapExceeded(f"n={n} exceeds the audit cap {AUDIT_CAP}")
     if n < 2:
         raise ValidationError("condition audits need n >= 2")
-    tol = default_tolerance(model) if tolerance is None else tolerance
+    tol = default_tolerance(model, tolerance)
     reports = tuple(
         audit_partition(model, partition, tol)
         for partition in enumerate_partitions(n, mode)
@@ -136,65 +147,47 @@ def check_condition(model: CovarianceModel, mode: str = "canonical",
 
 def audit_partition(model: CovarianceModel, partition: CoordinatePartition,
                     tolerance: float | None = None) -> ConditionReport:
-    tol = default_tolerance(model) if tolerance is None else tolerance
-    if model.count_reducible:
-        return _audit_by_counts(model, partition, tol)
+    tol = default_tolerance(model, tolerance)
+    k = model.count_kernel()
+    if k is not None:
+        return _audit_by_counts(model, partition, k, tol)
     return _audit_dense(model, partition, tol)
 
 
-def _count_class_witness(partition: CoordinatePartition, d1: int, d2: int
-                         ) -> tuple[SpinConfig, SpinConfig]:
-    """Canonical pair realizing the class: all-plus vs. lowest-coordinate flips."""
-    n = partition.n
-    sigma = SpinConfig(n, (1 << n) - 1)
-    flip = 0
-    taken = 0
-    m = partition.mask
-    while m and taken < d1:
-        low = m & -m
-        flip |= low
-        taken += 1
-        m ^= low
-    taken = 0
-    m = partition.mask2
-    while m and taken < d2:
-        low = m & -m
-        flip |= low
-        taken += 1
-        m ^= low
-    return sigma, SpinConfig(n, sigma.bits ^ flip)
+def _verdict(max_gap, min_gap, tolerance: float) -> str:
+    if max_gap > tolerance:
+        return VERDICT_VIOLATED
+    if max_gap == 0 and min_gap == 0:
+        return VERDICT_HOLDS_WITH_EQUALITY
+    return VERDICT_HOLDS
 
 
 def _audit_by_counts(model: CovarianceModel, partition: CoordinatePartition,
-                     tolerance: float) -> ConditionReport:
-    """Exact audit over per-block disagreement-count classes."""
-    n1, n2 = partition.n1, partition.n2
-    best: tuple[Fraction, tuple[int, int]] | None = None
-    worst: tuple[Fraction, tuple[int, int]] | None = None
-    for d1 in range(n1 + 1):
-        for d2 in range(n2 + 1):
-            sigma, tau = _count_class_witness(partition, d1, d2)
-            gap = condition_gap(model, partition, sigma, tau)
-            if not isinstance(gap, Fraction):
-                gap = Fraction(gap)
-            if best is None or gap > best[0]:
-                best = (gap, (d1, d2))
-            if worst is None or gap < worst[0]:
-                worst = (gap, (d1, d2))
-    assert best is not None and worst is not None
-    max_gap, min_gap = best[0], worst[0]
-    witness = _count_class_witness(partition, *best[1])
-    if max_gap > tolerance:
-        verdict = VERDICT_VIOLATED
-    elif max_gap == 0 and min_gap == 0:
-        verdict = VERDICT_HOLDS_WITH_EQUALITY
-    else:
-        verdict = VERDICT_HOLDS
+                     k: list[Fraction], tolerance: float) -> ConditionReport:
+    """Exact audit over the per-block disagreement-count classes (d1, d2).
+
+    Class (d1, d2) has the gap k[d1 + d2] - (n1/n) k1[d1] - (n2/n) k2[d2],
+    with k, k1, k2 the count kernels of the model and its two block
+    submodels.  The witness pairs all-plus with the configuration that flips
+    the lowest d1 coordinates of block 1 and the lowest d2 of block 2, for
+    the first maximal class in d1-major order.
+    """
+    n, n1, n2 = partition.n, partition.n1, partition.n2
+    k1 = model.submodel(partition, 1).count_kernel()
+    k2 = model.submodel(partition, 2).count_kernel()
+    w1, w2 = Fraction(n1, n), Fraction(n2, n)
+    gaps = [(k[d1 + d2] - w1 * k1[d1] - w2 * k2[d2], d1, d2)
+            for d1 in range(n1 + 1) for d2 in range(n2 + 1)]
+    max_gap, d1, d2 = max(gaps, key=lambda g: g[0])
+    min_gap = min(g[0] for g in gaps)
+    sigma = (1 << n) - 1
+    tau = (sigma ^ deposit_bits((1 << d1) - 1, partition.mask)
+           ^ deposit_bits((1 << d2) - 1, partition.mask2))
     return ConditionReport(
-        n=partition.n, mask=partition.mask, n1=n1,
+        n=n, mask=partition.mask, n1=n1,
         max_gap=float(max_gap), min_gap=float(min_gap),
-        witness_sigma=witness[0], witness_tau=witness[1],
-        pairs_checked=4**partition.n, verdict=verdict, exact=True,
+        witness_sigma=SpinConfig(n, sigma), witness_tau=SpinConfig(n, tau),
+        pairs_checked=4**n, verdict=_verdict(max_gap, min_gap, tolerance), exact=True,
         max_gap_exact=max_gap, min_gap_exact=min_gap,
     )
 
@@ -214,17 +207,12 @@ def _audit_dense(model: CovarianceModel, partition: CoordinatePartition,
     i, j = divmod(int(np.argmax(gaps)), 1 << partition.n)
     max_gap = float(gaps.max())
     min_gap = float(gaps.min())
-    if max_gap > tolerance:
-        verdict = VERDICT_VIOLATED
-    elif max_gap == 0.0 and min_gap == 0.0:
-        verdict = VERDICT_HOLDS_WITH_EQUALITY
-    else:
-        verdict = VERDICT_HOLDS
     return ConditionReport(
         n=partition.n, mask=partition.mask, n1=partition.n1,
         max_gap=max_gap, min_gap=min_gap,
         witness_sigma=SpinConfig(partition.n, i), witness_tau=SpinConfig(partition.n, j),
-        pairs_checked=4**partition.n, verdict=verdict, exact=False,
+        pairs_checked=4**partition.n, verdict=_verdict(max_gap, min_gap, tolerance),
+        exact=False,
     )
 
 
@@ -315,6 +303,8 @@ def validate_psd(matrix: np.ndarray, tol: float = 1e-8) -> PsdReport:
     squared smallest pivot at full rank and the most negative residual
     otherwise; it is an estimate, not an eigensolve.
     """
+    if not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {a.shape}")

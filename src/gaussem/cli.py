@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -225,9 +226,12 @@ def _partition_from(args: argparse.Namespace, n: int) -> CoordinatePartition:
 
 def _betas(arg: str) -> list[float]:
     try:
-        return [float(tok) for tok in arg.split(",") if tok != ""]
+        betas = [float(tok) for tok in arg.split(",") if tok != ""]
     except ValueError:
         raise ValidationError(f"bad --beta list {arg!r}") from None
+    if not betas or not all(math.isfinite(b) for b in betas):
+        raise ValidationError(f"--beta needs one or more finite values, got {arg!r}")
+    return betas
 
 
 def _tgrid(arg: str) -> np.ndarray:
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample-dump", help="write raw draws, one line per draw")
     _add_common(sp)
-    sp.add_argument("--samples", type=int, default=10)
+    sp.add_argument("--samples", type=_positive_int, default=10)
     sp.set_defaults(func=_cmd_sample_dump)
 
     return ap

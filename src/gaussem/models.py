@@ -7,6 +7,9 @@ the inputs are floats (tree variances, custom matrices).  Every generated
 rule depends on a pair only through sigma XOR tau, so ``kernel`` returns the
 whole covariance as one vector K of length 2**n with c(sigma, tau) =
 K[sigma XOR tau]; dense matrices and condition gaps are read from it.
+Overlap models and the REM depend on a pair only through its disagreement
+count d, and ``count_kernel`` gives that covariance exactly, one Fraction per
+d = 0..n; the exact condition audit reads nothing else.
 Models with an explicit coupling expansion expose the linear map from
 i.i.d. standard Gaussians to the energy vector via ``coupling_structure``.
 """
@@ -80,12 +83,6 @@ class CouplingStructure:
 
     def __repr__(self) -> str:
         return f"CouplingStructure({self.description!r}, n={self.n}, couplings={self.n_couplings})"
-
-
-def _config_signs(n: int) -> np.ndarray:
-    """(2**n, n) matrix of +-1 coordinates in enumeration order."""
-    c = np.arange(1 << n)
-    return np.where((c[:, None] >> np.arange(n)[None, :]) & 1 == 1, 1.0, -1.0)
 
 
 def _tensor_rows(signs: np.ndarray, p: int) -> np.ndarray:
@@ -165,8 +162,6 @@ class CovarianceModel:
     """Base class; subclasses fix the covariance rule for one model kind."""
 
     kind: str = "abstract"
-    #: covariance depends on the pair only through per-block disagreement counts
-    count_reducible: bool = False
 
     def __init__(self, n: int):
         if n < 1:
@@ -201,6 +196,14 @@ class CovarianceModel:
         audited through one gap per XOR word, which covers all 4**n pairs.
         """
         raise NotImplementedError
+
+    def count_kernel(self) -> list[Fraction] | None:
+        """Exact covariance k[d] of any pair with d disagreements, d = 0..n.
+
+        None unless the covariance depends on a pair only through its
+        disagreement count; exact condition audits read this and nothing else.
+        """
+        return None
 
     def walsh_support(self) -> np.ndarray:
         """Ascending masks S of the characters chi_S that can carry weight in ``kernel``.
@@ -256,12 +259,11 @@ class _OverlapPolynomialModel(CovarianceModel):
     coupling column is a Walsh character.
     """
 
-    count_reducible = True
     orders: dict[int, int | Fraction]
 
     def psi(self, q: Fraction) -> Fraction:
-        # exact audits call this per count class: skip the unit weight and the
-        # zero start, each of which costs a full Fraction operation
+        # exact audits call this per disagreement count: skip the unit weight
+        # and the zero start, each of which costs a full Fraction operation
         total = None
         for p, w in self.orders.items():
             term = q**p if w == 1 else w * q**p
@@ -277,6 +279,10 @@ class _OverlapPolynomialModel(CovarianceModel):
     def covariance(self, sigma: SpinConfig, tau: SpinConfig) -> Fraction:
         self._check_sizes(sigma, tau)
         return self.psi(overlap(sigma, tau))
+
+    def count_kernel(self) -> list[Fraction]:
+        n = self.n
+        return [self.psi(Fraction(n - 2 * d, n)) for d in range(n + 1)]
 
     def kernel(self) -> np.ndarray:
         u = np.arange(1 << self.n, dtype=np.int64)
@@ -294,7 +300,7 @@ class _OverlapPolynomialModel(CovarianceModel):
         scales = {p: np.sqrt(float(w)) * n ** (-p / 2) for p, w in self.orders.items()}
 
         def build() -> np.ndarray:
-            signs = _config_signs(n)
+            signs = walsh_characters(n, 1 << np.arange(n))
             return np.hstack([scale * _tensor_rows(signs, p) for p, scale in scales.items()])
 
         groups = tuple((f"J[i1..i{p}] scaled by sqrt(w_{p}) n**(-{p}/2)", n**p) for p in scales)
@@ -383,11 +389,13 @@ class REMModel(CovarianceModel):
     """All 2**n energies independent: covariance is the Kronecker delta."""
 
     kind = "rem"
-    count_reducible = True
 
     def covariance(self, sigma: SpinConfig, tau: SpinConfig) -> Fraction:
         self._check_sizes(sigma, tau)
         return Fraction(1) if sigma.bits == tau.bits else Fraction(0)
+
+    def count_kernel(self) -> list[Fraction]:
+        return [Fraction(d == 0) for d in range(self.n + 1)]
 
     def kernel(self) -> np.ndarray:
         k = np.zeros(1 << self.n)

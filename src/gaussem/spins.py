@@ -99,7 +99,7 @@ class CoordinatePartition:
         raise ValueError(f"block must be 1 or 2, got {block!r}")
 
     def block_size(self, block: int) -> int:
-        return self.n1 if block == 1 else self.n2
+        return self.block_mask(block).bit_count()
 
 
 def extract_bits(bits, mask: int):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .disorder import DisorderDraw, SeedPolicy, make_sampler
 from .errors import ValidationError
-from .models import CovarianceModel, SKModel
+from .models import CovarianceModel, SKModel, walsh_characters
 from .spins import CoordinatePartition
 from .util import log_mean_exp, pmap
 
@@ -52,6 +52,8 @@ class QuenchedEstimate:
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        raise ValidationError("error bars need at least 2 samples")
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
@@ -157,16 +159,6 @@ def superadditivity_report(model: CovarianceModel, partition: CoordinatePartitio
     return SuperadditivityReport(a, a1, a2, margin, combined, verdict)
 
 
-def _triangular_pair_weights(n: int) -> np.ndarray:
-    """Map from the n(n-1)/2 upper-triangular couplings to energies, scaled 1/n."""
-    c = np.arange(1 << n)
-    signs = np.where((c[:, None] >> np.arange(n)[None, :]) & 1 == 1, 1.0, -1.0)
-    cols = [signs[:, i] * signs[:, j] for i in range(n) for j in range(i + 1, n)]
-    if not cols:
-        return np.zeros((1 << n, 0))
-    return np.stack(cols, axis=1) / n
-
-
 @dataclass(frozen=True)
 class SkRescalingReport:
     """Standard (i<j) pair model at sqrt(2) beta versus the full model at beta."""
@@ -188,7 +180,9 @@ def sk_rescaling_check(n: int, beta: float, samples: int, seeds: SeedPolicy,
     beta by sqrt(2).  Both sides are estimated by direct simulation.
     """
     beta_std = math.sqrt(2.0) * beta
-    w = _triangular_pair_weights(n)
+    # the n(n-1)/2 couplings i<j in lexicographic order, scaled 1/n
+    pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    w = walsh_characters(n, pairs) / n
     label = f"sk_standard|n={n}|beta={beta!r}"
 
     def sample(rng: np.random.Generator) -> np.ndarray:

@@ -63,6 +63,7 @@ def brute_force_extremes(model, partition):
         REMModel(3),
         MixedModel(3, {1: Fraction(1, 2), 3: Fraction(1, 2)}),
         PSpinModel(4, 4),
+        MixedModel(4, {2: Fraction(1, 4), 3: Fraction(3, 4)}),
     ],
 )
 def test_audit_matches_brute_force(model):
@@ -266,6 +267,27 @@ def test_grem_audit_never_builds_gap_matrix(monkeypatch):
     assert all(r.pairs_checked == 4**5 for r in result.reports)
 
 
+def test_audit_never_calls_condition_gap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact audit must read the count kernels")
+
+    monkeypatch.setattr(audit, "condition_gap", refuse)
+    for model in (SKModel(6), PSpinModel(5, 3), MixedModel(6, {1: Fraction(1, 3),
+                                                               4: Fraction(2, 3)}),
+                  REMModel(4)):
+        result = check_condition(model, mode="all")
+        assert len(result.reports) == 2**model.n - 2
+        assert all(r.exact for r in result.reports)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_audit_refuses_bad_tolerances(tolerance):
+    with pytest.raises(ValidationError, match="tolerance"):
+        check_condition(PSpinModel(4, 3), tolerance=tolerance)
+    with pytest.raises(ValidationError, match="tolerance"):
+        audit_partition(PSpinModel(4, 3), CoordinatePartition.canonical(4, 2), tolerance)
+
+
 def test_custom_model_audit_needs_family():
     base = CustomModel(np.eye(8))
     with pytest.raises(MissingData):
@@ -292,6 +314,12 @@ def test_validate_psd_rejects_indefinite_and_asymmetric():
     assert rep.min_eigenvalue_estimate < -0.5
     with pytest.raises(ValidationError):
         validate_psd(np.array([[1.0, 0.2], [0.1, 1.0]]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_validate_psd_refuses_bad_tolerances(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        validate_psd(np.eye(4), tol=tol)
 
 
 def test_validate_psd_agrees_with_eigen_oracle():

@@ -332,3 +332,28 @@ def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "--model", "pspin:3", "--n", "4", "--tolerance", "nan"], "tolerance"),
+    (["check", "--model", "pspin:3", "--n", "4", "--tolerance", "inf"], "tolerance"),
+    (["check", "--model", "pspin:3", "--n", "4", "--tolerance", "-1"], "tolerance"),
+    (["psd", "--model", "sk", "--n", "4", "--tol", "nan"], "tol"),
+    (["psd", "--model", "sk", "--n", "4", "--tol", "-1"], "tol"),
+    (["alpha", "--model", "sk", "--n", "4", "--beta", ""], "--beta"),
+    (["superadd", "--model", "sk", "--n", "4", "--n1", "2", "--beta", ","], "--beta"),
+    (["alpha", "--model", "sk", "--n", "4", "--beta", "inf"], "--beta"),
+    (["alpha", "--model", "sk", "--n", "4", "--beta", "nan"], "--beta"),
+    (["interp", "--model", "sk", "--n", "4", "--n1", "2", "--beta", "1", "--samples", "0"],
+     "at least 2 samples"),
+    (["interp", "--model", "sk", "--n", "4", "--n1", "2", "--beta", "1", "--samples", "1"],
+     "at least 2 samples"),
+    (["sample-dump", "--model", "sk", "--n", "4", "--samples", "-3"], "--samples"),
+])
+@pytest.mark.filterwarnings("error")
+def test_bad_numeric_inputs_exit_two_with_one_error(args, message, capsys):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and message in errors[0]

@@ -255,3 +255,40 @@ def test_spec_strings_round_trip_flavor():
     assert PSpinModel(3, 3).spec_string() == "pspin:3"
     assert REMModel(3).spec_string() == "rem"
     assert MixedModel(3, {2: Fraction(1, 2), 4: Fraction(1, 2)}).spec_string() == "mixed:2=0.5,4=0.5"
+
+
+def test_submodel_refuses_unknown_blocks():
+    with pytest.raises(ValueError, match="block must be 1 or 2"):
+        SKModel(4).submodel(CoordinatePartition(4, 0b0001), 3)
+
+
+def count_kernel_model(data):
+    n = data.draw(st.integers(1, 8))
+    kind = data.draw(st.sampled_from(["sk", "pspin", "mixed", "rem"]))
+    if kind == "sk":
+        return SKModel(n)
+    if kind == "pspin":
+        return PSpinModel(n, data.draw(st.integers(1, 5)))
+    if kind == "mixed":
+        orders = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+        raw = [data.draw(st.integers(1, 9)) for _ in orders]
+        return MixedModel(n, {p: Fraction(r, sum(raw)) for p, r in zip(orders, raw)})
+    return REMModel(n)
+
+
+@given(st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_count_kernel_is_the_covariance_by_disagreements(data):
+    model = count_kernel_model(data)
+    n = model.n
+    k = model.count_kernel()
+    assert len(k) == n + 1 and all(isinstance(x, Fraction) for x in k)
+    for _ in range(8):
+        s = SpinConfig(n, data.draw(st.integers(0, (1 << n) - 1)))
+        t = SpinConfig(n, data.draw(st.integers(0, (1 << n) - 1)))
+        assert k[(s.bits ^ t.bits).bit_count()] == model.covariance(s, t)
+
+
+def test_tree_and_custom_models_have_no_count_kernel():
+    assert GREMModel(validate_tree([1, 2], [0.4, 0.6], 3)).count_kernel() is None
+    assert CustomModel(np.eye(8)).count_kernel() is None

@@ -70,6 +70,14 @@ def test_partition_validation():
         CoordinatePartition(3, 0b111)  # block 2 empty
 
 
+def test_block_size_refuses_unknown_blocks():
+    p = CoordinatePartition(4, 0b0001)
+    assert (p.block_size(1), p.block_size(2)) == (1, 3)
+    for block in (0, 3):
+        with pytest.raises(ValueError, match="block must be 1 or 2"):
+            p.block_size(block)
+
+
 def test_overlap_examples():
     assert overlap(cfg("+-+-"), cfg("+-+-")) == 1
     assert overlap(cfg("++"), cfg("+-")) == 0

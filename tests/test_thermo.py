@@ -17,6 +17,7 @@ from gaussem.thermo import (
     alpha_of_energies,
     jensen_bound,
     log_partition,
+    mean_and_se,
     quenched_alpha,
     sk_rescaling_check,
     superadditivity_report,
@@ -72,6 +73,13 @@ def test_log_partition_relabeling_invariance():
 def test_quenched_estimate_needs_two_samples():
     with pytest.raises(ValidationError):
         QuenchedEstimate(0.0, 0.0, 1, 0.0, 2, "x")
+
+
+def test_mean_and_se_needs_two_values():
+    for values in ([], [0.5]):
+        with pytest.raises(ValidationError, match="2 samples"):
+            mean_and_se(np.array(values))
+    assert mean_and_se(np.array([1.0, 3.0])) == (2.0, 1.0)
 
 
 def test_alpha_beta_zero_exact():
