@@ -17,8 +17,11 @@ a pair with d1 disagreements in block 1 and d2 in block 2 has the gap
     k_n[d1 + d2] - (n1/n) k_n1[d1] - (n2/n) k_n2[d2]
 
 The (n1+1)(n2+1) count classes partition all 4**n ordered pairs; each class
-is one rational number, and a canonical witness is rebuilt from the first
-maximal class.
+is one rational number.  Nothing in the table depends on which coordinates
+form block 1, so one table, its extremes and its verdict serve every mask
+with the same n1 (the overlap-convexity argument of Guerra and Toninelli,
+CMP 230, 2002); only the witness, rebuilt from the first maximal class, is
+per mask.  ``check_condition`` builds each table once per call.
 
 Every generated covariance is an XOR kernel, c(sigma, tau) = K[sigma XOR tau],
 and the projections are XOR-linear, so the gap of a pair is a function of
@@ -27,6 +30,13 @@ models are audited in float arithmetic through that vector; the 2**n pairs
 (sigma, sigma XOR u) of each word share its gap, so the 2**n words still
 cover all 4**n ordered pairs.  Custom models, which are stored rather than
 generated, are audited over the full dense pair grid.
+
+Caps: ``check_condition`` refuses n > ENUMERATION_CAP for every model.
+AUDIT_CAP bounds only the work that grows as 4**n pairs or 2**n partitions:
+the custom dense pair grid, in every mode, and ``mode="all"``, which makes
+2**n - 2 reports.  Canonical audits of generated models run to
+ENUMERATION_CAP: count models through the per-n1 tables, tree models
+through 2**n gaps per partition.
 """
 
 from __future__ import annotations
@@ -39,14 +49,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 from .models import CovarianceModel, CustomModel
-from .spins import CoordinatePartition, SpinConfig, deposit_bits, enumerate_partitions, project
+from .spins import (
+    ENUMERATION_CAP,
+    CoordinatePartition,
+    SpinConfig,
+    deposit_bits,
+    enumerate_partitions,
+    project,
+)
 from .util import extract_map, psd_factor
 
 VERDICT_HOLDS = "HOLDS"
 VERDICT_HOLDS_WITH_EQUALITY = "HOLDS_WITH_EQUALITY"
 VERDICT_VIOLATED = "VIOLATED"
 
-#: largest n for a condition audit (4**n ordered pairs per partition)
+#: largest n for the custom dense pair grid (4**n floats) and for mode="all"
+#: (2**n - 2 partitions); canonical audits of generated models go to ENUMERATION_CAP
 AUDIT_CAP = 10
 
 #: gap tolerance for models evaluated in exact rational arithmetic
@@ -131,18 +149,39 @@ def default_tolerance(model: CovarianceModel, tolerance: float | None = None) ->
 
 def check_condition(model: CovarianceModel, mode: str = "canonical",
                     tolerance: float | None = None) -> AuditResult:
-    """Audit every ordered configuration pair for every partition of the split mode."""
+    """Audit every ordered configuration pair for every partition of the split mode.
+
+    Count models build one exact class table per block size n1 and reuse
+    its extremes for every later mask with that n1; tree and custom models
+    are audited partition by partition.  n is refused above ENUMERATION_CAP,
+    and above AUDIT_CAP for a custom model (its dense pair grid) or for
+    mode="all" (2**n - 2 partitions).
+    """
     n = model.n
-    if n > AUDIT_CAP:
-        raise ResourceCapExceeded(f"n={n} exceeds the audit cap {AUDIT_CAP}")
+    if n > ENUMERATION_CAP:
+        raise ResourceCapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if n > AUDIT_CAP and isinstance(model, CustomModel):
+        raise ResourceCapExceeded(
+            f"n={n} exceeds the audit cap {AUDIT_CAP} of the custom pair grid (4**n pairs)"
+        )
+    if n > AUDIT_CAP and mode == "all":
+        raise ResourceCapExceeded(
+            f"n={n} exceeds the audit cap {AUDIT_CAP} of --mode all (2**n - 2 partitions)"
+        )
     if n < 2:
         raise ValidationError("condition audits need n >= 2")
     tol = default_tolerance(model, tolerance)
-    reports = tuple(
-        audit_partition(model, partition, tol)
-        for partition in enumerate_partitions(n, mode)
-    )
-    return AuditResult(model.spec_string(), n, mode, tol, reports)
+    k = model.count_kernel()
+    tables: dict[int, tuple] = {}  # n1 -> _count_extremes, for this call only
+    reports = []
+    for partition in enumerate_partitions(n, mode):
+        if k is None:
+            reports.append(_audit_dense(model, partition, tol))
+            continue
+        if partition.n1 not in tables:
+            tables[partition.n1] = _count_extremes(model, partition, k)
+        reports.append(_count_report(partition, tables[partition.n1], tol))
+    return AuditResult(model.spec_string(), n, mode, tol, tuple(reports))
 
 
 def audit_partition(model: CovarianceModel, partition: CoordinatePartition,
@@ -150,7 +189,7 @@ def audit_partition(model: CovarianceModel, partition: CoordinatePartition,
     tol = default_tolerance(model, tolerance)
     k = model.count_kernel()
     if k is not None:
-        return _audit_by_counts(model, partition, k, tol)
+        return _count_report(partition, _count_extremes(model, partition, k), tol)
     return _audit_dense(model, partition, tol)
 
 
@@ -162,15 +201,14 @@ def _verdict(max_gap, min_gap, tolerance: float) -> str:
     return VERDICT_HOLDS
 
 
-def _audit_by_counts(model: CovarianceModel, partition: CoordinatePartition,
-                     k: list[Fraction], tolerance: float) -> ConditionReport:
-    """Exact audit over the per-block disagreement-count classes (d1, d2).
+def _count_extremes(model: CovarianceModel, partition: CoordinatePartition,
+                    k: list[Fraction]) -> tuple[Fraction, int, int, Fraction]:
+    """(max_gap, d1, d2, min_gap) over the per-block disagreement-count classes.
 
     Class (d1, d2) has the gap k[d1 + d2] - (n1/n) k1[d1] - (n2/n) k2[d2],
     with k, k1, k2 the count kernels of the model and its two block
-    submodels.  The witness pairs all-plus with the configuration that flips
-    the lowest d1 coordinates of block 1 and the lowest d2 of block 2, for
-    the first maximal class in d1-major order.
+    submodels; (d1, d2) is the first maximal class in d1-major order.  The
+    result depends on the partition only through n1.
     """
     n, n1, n2 = partition.n, partition.n1, partition.n2
     k1 = model.submodel(partition, 1).count_kernel()
@@ -179,12 +217,23 @@ def _audit_by_counts(model: CovarianceModel, partition: CoordinatePartition,
     gaps = [(k[d1 + d2] - w1 * k1[d1] - w2 * k2[d2], d1, d2)
             for d1 in range(n1 + 1) for d2 in range(n2 + 1)]
     max_gap, d1, d2 = max(gaps, key=lambda g: g[0])
-    min_gap = min(g[0] for g in gaps)
+    return max_gap, d1, d2, min(g[0] for g in gaps)
+
+
+def _count_report(partition: CoordinatePartition, extremes: tuple[Fraction, int, int, Fraction],
+                  tolerance: float) -> ConditionReport:
+    """Exact report of one mask from its class extremes (see ``_count_extremes``).
+
+    The witness pairs all-plus with the configuration that flips the lowest
+    d1 coordinates of block 1 and the lowest d2 of block 2.
+    """
+    max_gap, d1, d2, min_gap = extremes
+    n = partition.n
     sigma = (1 << n) - 1
     tau = (sigma ^ deposit_bits((1 << d1) - 1, partition.mask)
            ^ deposit_bits((1 << d2) - 1, partition.mask2))
     return ConditionReport(
-        n=n, mask=partition.mask, n1=n1,
+        n=n, mask=partition.mask, n1=partition.n1,
         max_gap=float(max_gap), min_gap=float(min_gap),
         witness_sigma=SpinConfig(n, sigma), witness_tau=SpinConfig(n, tau),
         pairs_checked=4**n, verdict=_verdict(max_gap, min_gap, tolerance), exact=True,

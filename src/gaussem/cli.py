@@ -217,9 +217,11 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _partition_from(args: argparse.Namespace, n: int) -> CoordinatePartition:
-    if getattr(args, "mask", None) is not None:
+    if args.mask is not None and args.n1 is not None:
+        raise ValidationError("give --n1 or --mask, not both")
+    if args.mask is not None:
         return CoordinatePartition(n, args.mask)
-    if getattr(args, "n1", None) is not None:
+    if args.n1 is not None:
         return CoordinatePartition.canonical(n, args.n1)
     raise ValidationError("give a partition: --n1 K (canonical prefix) or --mask M")
 

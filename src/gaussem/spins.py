@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DimensionMismatch, ResourceCapExceeded
+from .errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 
 #: largest n for which full enumeration of the 2**n configurations is allowed
 ENUMERATION_CAP = 20
@@ -68,15 +68,18 @@ class CoordinatePartition:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("a partition needs n >= 2")
+            raise ValidationError("a partition needs n >= 2")
         if self.mask <= 0 or self.mask >> self.n:
-            raise ValueError(f"mask 0x{self.mask:x} out of range for n={self.n}")
+            raise ValidationError(f"mask {self.mask} out of range 1..{(1 << self.n) - 2} "
+                                  f"for n={self.n}")
         if self.mask.bit_count() == self.n:
-            raise ValueError("block 2 must be nonempty")
+            raise ValidationError(f"mask {self.mask} leaves block 2 empty for n={self.n}")
 
     @classmethod
     def canonical(cls, n: int, n1: int) -> "CoordinatePartition":
         """The contiguous prefix split {1..n1} | {n1+1..n}."""
+        if not 1 <= n1 <= n - 1:
+            raise ValidationError(f"n1 must be in 1..n-1 for n={n}, got {n1}")
         return cls(n, (1 << n1) - 1)
 
     @property

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -135,8 +136,22 @@ def test_verdict_classification():
 
 
 def test_audit_cap():
-    with pytest.raises(ResourceCapExceeded):
-        check_condition(SKModel(11))
+    with pytest.raises(ResourceCapExceeded, match="enumeration cap"):
+        check_condition(SKModel(21))
+    with pytest.raises(ResourceCapExceeded, match="--mode all"):
+        check_condition(SKModel(11), mode="all")
+    # canonical audits of generated models are not bounded by AUDIT_CAP
+    assert len(check_condition(SKModel(11)).reports) == 10
+
+
+def test_custom_audit_cap_bounds_the_pair_grid(monkeypatch):
+    monkeypatch.setattr(audit, "AUDIT_CAP", 2)
+    custom = CustomModel(np.eye(8), family={1: np.eye(2), 2: np.eye(4)})
+    with pytest.raises(ResourceCapExceeded, match="custom pair grid"):
+        check_condition(custom)
+    with pytest.raises(ResourceCapExceeded, match="--mode all"):
+        check_condition(REMModel(3), mode="all")
+    assert check_condition(REMModel(3)).holds
 
 
 def test_gap_matrix_matches_condition_gap():
@@ -278,6 +293,72 @@ def test_audit_never_calls_condition_gap(monkeypatch):
         result = check_condition(model, mode="all")
         assert len(result.reports) == 2**model.n - 2
         assert all(r.exact for r in result.reports)
+
+
+def count_kernel_model(data):
+    n = data.draw(st.integers(2, 8))
+    kind = data.draw(st.sampled_from(["sk", "pspin", "mixed", "rem"]))
+    if kind == "sk":
+        return SKModel(n)
+    if kind == "pspin":
+        return PSpinModel(n, data.draw(st.integers(1, 5)))
+    if kind == "mixed":
+        orders = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+        raw = [data.draw(st.integers(1, 9)) for _ in orders]
+        return MixedModel(n, {p: Fraction(r, sum(raw)) for p, r in zip(orders, raw)})
+    return REMModel(n)
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_shared_count_tables_match_the_single_partition_audit(data):
+    # check_condition reuses one table per n1; audit_partition builds its own
+    model = count_kernel_model(data)
+    n = model.n
+    reports = check_condition(model, mode="all").reports
+    for _ in range(4):
+        partition = CoordinatePartition(n, data.draw(st.integers(1, (1 << n) - 2)))
+        report = reports[partition.mask - 1]
+        assert report == audit_partition(model, partition)
+        assert condition_gap(model, partition, report.witness_sigma,
+                             report.witness_tau) == report.max_gap_exact
+
+
+def test_count_kernels_read_once_per_block_size(monkeypatch):
+    calls = []
+    count_kernel = PSpinModel.count_kernel
+
+    def counted(self):
+        calls.append(self.n)
+        return count_kernel(self)
+
+    monkeypatch.setattr(PSpinModel, "count_kernel", counted)
+    result = check_condition(PSpinModel(8, 3), "all")
+    assert len(result.reports) == 2**8 - 2
+    # the model once, then both blocks once per n1 = 1..7
+    assert len(calls) <= 1 + 2 * 7
+
+
+@pytest.mark.parametrize("model, verdict", [
+    (SKModel(20), VERDICT_HOLDS),
+    (PSpinModel(20, 3), VERDICT_VIOLATED),
+    (MixedModel(20, {2: Fraction(1, 2), 4: Fraction(1, 2)}), VERDICT_HOLDS),
+    (REMModel(20), VERDICT_HOLDS),
+])
+def test_canonical_count_audits_reach_the_enumeration_cap(model, verdict):
+    result = check_condition(model)
+    assert result.verdict == verdict
+    assert len(result.reports) == 19
+    rng = random.Random(20)
+    for report in result.reports:
+        partition = CoordinatePartition(20, report.mask)
+        assert condition_gap(model, partition, report.witness_sigma,
+                             report.witness_tau) == report.max_gap_exact
+        for _ in range(200):
+            s = SpinConfig(20, rng.getrandbits(20))
+            t = SpinConfig(20, rng.getrandbits(20))
+            gap = condition_gap(model, partition, s, t)
+            assert report.min_gap_exact <= gap <= report.max_gap_exact
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])

@@ -357,3 +357,36 @@ def test_bad_numeric_inputs_exit_two_with_one_error(args, message, capsys):
     assert out == ""
     errors = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("command", ["superadd", "interp"])
+@pytest.mark.parametrize("split", [
+    ["--n1", "0"], ["--n1", "4"], ["--n1", "-1"],
+    ["--mask", "0"], ["--mask", "15"], ["--mask", "16"],
+    ["--n1", "2", "--mask", "1"],
+])
+def test_bad_partitions_exit_two_with_one_error(command, split, capsys):
+    assert main([command, "--model", "sk", "--n", "4", *split, "--beta", "1",
+                 "--samples", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].startswith("gaussem: error:")
+
+
+@pytest.mark.parametrize("args, status, message", [
+    (["--n", "21"], 2, "enumeration cap"),
+    (["--n", "11", "--mode", "all"], 2, "--mode all"),
+    (["--n", "20"], 0, None),
+])
+def test_check_caps(args, status, message, tmp_path, capsys):
+    out = tmp_path / "check.csv"
+    assert main(["check", "--model", "sk", *args, "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    if message is None:
+        _, rows = read_rows(out)
+        assert len(rows) == 19
+    else:
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and message in errors[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gaussem.errors import DimensionMismatch, ResourceCapExceeded
+from gaussem.errors import DimensionMismatch, ResourceCapExceeded, ValidationError
 from gaussem.spins import (
     CoordinatePartition,
     SpinConfig,
@@ -158,3 +158,9 @@ def test_extract_bits_array_matches_int(data):
     packed = extract_bits(words, mask)
     assert packed.dtype == np.int64
     assert packed.tolist() == [extract_bits(int(w), mask) for w in words]
+
+
+@pytest.mark.parametrize("n1", [-1, 0, 4, 5])
+def test_canonical_refuses_empty_blocks(n1):
+    with pytest.raises(ValidationError, match="n1"):
+        CoordinatePartition.canonical(4, n1)
