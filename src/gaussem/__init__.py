@@ -25,8 +25,6 @@ from .disorder import (
     SeedPolicy,
     StructuralSampler,
     TripleSampler,
-    draw_disorder,
-    lift,
     make_sampler,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .grem import (
     TreeLift,
     check_lift_covariance,
     grem_covariance,
-    lift_energies,
     merge_level,
     parse_tree_file,
     sample_grem,
@@ -54,7 +51,6 @@ from .interpolation import (
     TwoReplicaGibbs,
     derivative_estimator,
     finite_difference_check,
-    interp_hamiltonian,
     log_partition_t,
     monotonicity_scan,
 )
@@ -71,7 +67,6 @@ from .models import (
 from .spins import (
     CoordinatePartition,
     SpinConfig,
-    combine,
     enumerate_configs,
     enumerate_partitions,
     overlap,

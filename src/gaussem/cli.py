@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .audit import check_condition, validate_psd
-from .disorder import DisorderDraw, SeedPolicy, make_sampler, write_draws
+from .disorder import SeedPolicy, make_sampler, write_draws
 from .errors import GaussemError, ValidationError
 from .grem import GremTree, TreeLift, check_lift_covariance, parse_tree_file, validate_tree
 from .interpolation import monotonicity_scan
@@ -346,7 +346,12 @@ def _cmd_grem_verify(args: argparse.Namespace) -> int:
                  "OK" if psd.psd else "FAILED"))
 
     if args.split is not None:
-        split = tuple(int(tok) for tok in args.split.split(","))
+        try:
+            split = tuple(int(tok) for tok in args.split.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--split must be comma separated integers, got {args.split!r}"
+            ) from None
     else:
         split = _default_split(tree)
     if len(split) != tree.n_layers or any(s < 0 or s > k for s, k in zip(split, tree.exponents)):
@@ -376,11 +381,7 @@ def _cmd_sample_dump(args: argparse.Namespace) -> int:
     model = parse_model(args.model, args.n)
     seeds = SeedPolicy(args.seed)
     sampler = make_sampler(model)
-    label = f"{model.spec_string()}/dump"
-    draws = [
-        DisorderDraw(model.n, sampler.sample(rng), (label, args.seed, i))
-        for i, rng in enumerate(seeds.streams("dump", range(args.samples)))
-    ]
+    draws = (sampler.sample(rng) for rng in seeds.streams("dump", range(args.samples)))
     if args.out == "-":
         write_draws(sys.stdout, draws)
     else:

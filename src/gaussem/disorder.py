@@ -3,7 +3,11 @@
 Streams are counter-based: draw i of experiment e under master seed s uses a
 Philox generator keyed by sha256(s|e|i) with its counter at zero, so
 distinct draws are independent, order does not matter, and concurrent
-generation is race-free and bit-reproducible.
+generation is race-free and bit-reproducible.  A draw is its energy vector
+and nothing else: the (seed, experiment, index) that made it is known to
+the caller and is not stored.  Samplers map a stream to the 2**n energies
+of one model; TripleSampler draws the full system and its two blocks from
+one stream; write_draws is the plain-text dump of ``sample-dump``.
 """
 
 from __future__ import annotations
@@ -81,11 +85,10 @@ class SeedPolicy:
 
 @dataclass(frozen=True)
 class DisorderDraw:
-    """One realization of the full energy vector, in enumeration order."""
+    """One realization of the full energy vector of n spins, in enumeration order."""
 
     n: int
     energies: np.ndarray
-    provenance: tuple[str, int, int]  # (model/experiment id, master seed, draw index)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -176,36 +179,6 @@ def make_sampler(model: CovarianceModel):
     return CholeskySampler(covariance)
 
 
-def draw_disorder(model: CovarianceModel, policy: SeedPolicy, experiment: str,
-                  draw: int) -> DisorderDraw:
-    sampler = make_sampler(model)
-    rng = policy.stream(experiment, draw)
-    return DisorderDraw(
-        n=model.n,
-        energies=sampler.sample(rng),
-        provenance=(f"{model.spec_string()}/{experiment}", policy.master_seed, draw),
-    )
-
-
-def lift(draw: DisorderDraw, partition: CoordinatePartition, block: int) -> DisorderDraw:
-    """Embed a block-sized draw into the full space: E'_sigma = E_(block projection).
-
-    The output is degenerate: constant on the fibers of the projection.
-    """
-    nk = partition.block_size(block)
-    if draw.n != nk:
-        raise DimensionMismatch(
-            f"draw size {draw.n} != block {block} size {nk}"
-        )
-    amap = extract_map(partition.n, partition.block_mask(block))
-    label, seed, idx = draw.provenance
-    return DisorderDraw(
-        n=partition.n,
-        energies=draw.energies[amap],
-        provenance=(f"lift{block}[{label}]", seed, idx),
-    )
-
-
 @dataclass(frozen=True)
 class JointDraw:
     """Three mutually independent systems: full size plus one per block, lifted."""
@@ -230,14 +203,12 @@ class TripleSampler:
             raise DimensionMismatch(
                 f"partition size {partition.n} != model size {model.n}"
             )
-        self.model = model
         self.partition = partition
         self._full = make_sampler(model)
         self._s1 = make_sampler(model.submodel(partition, 1))
         self._s2 = make_sampler(model.submodel(partition, 2))
         self._map1 = extract_map(partition.n, partition.mask)
         self._map2 = extract_map(partition.n, partition.mask2)
-        self._label = f"{model.spec_string()}|mask={partition.mask}"
 
     def draw(self, policy: SeedPolicy, experiment: str, index: int) -> JointDraw:
         rng = policy.stream(experiment, index)
@@ -245,29 +216,12 @@ class TripleSampler:
         e1 = self._s1.sample(rng)
         e2 = self._s2.sample(rng)
         p = self.partition
-        seed = policy.master_seed
-        full = DisorderDraw(p.n, e, (f"{self._label}/{experiment}", seed, index))
-        sub1 = DisorderDraw(p.n1, e1, (f"{self._label}/{experiment}#1", seed, index))
-        sub2 = DisorderDraw(p.n2, e2, (f"{self._label}/{experiment}#2", seed, index))
-        lift1 = DisorderDraw(p.n, e1[self._map1], sub1.provenance)
-        lift2 = DisorderDraw(p.n, e2[self._map2], sub2.provenance)
-        return JointDraw(p, full, sub1, sub2, lift1, lift2)
+        return JointDraw(p, DisorderDraw(p.n, e), DisorderDraw(p.n1, e1), DisorderDraw(p.n2, e2),
+                         DisorderDraw(p.n, e1[self._map1]), DisorderDraw(p.n, e2[self._map2]))
 
 
-def write_draws(fh: io.TextIOBase, draws: Iterable[DisorderDraw]) -> None:
-    """Plain-text exchange format: one line per draw, energies in enumeration order."""
-    for d in draws:
-        fh.write(" ".join(repr(float(x)) for x in d.energies))
+def write_draws(fh: io.TextIOBase, rows: Iterable[np.ndarray]) -> None:
+    """Plain-text dump: one line per energy vector, each energy as its float repr."""
+    for energies in rows:
+        fh.write(" ".join(repr(float(x)) for x in energies))
         fh.write("\n")
-
-
-def read_draws(fh: io.TextIOBase, n: int) -> list[np.ndarray]:
-    out = []
-    for line in fh:
-        if not line.strip():
-            continue
-        vec = np.array([float(tok) for tok in line.split()])
-        if vec.shape != (1 << n,):
-            raise ValidationError(f"expected {1 << n} energies per line, got {vec.size}")
-        out.append(vec)
-    return out

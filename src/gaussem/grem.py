@@ -12,6 +12,7 @@ the cumulated variance v[l] = a_1 + ... + a_l (v[0] = 0, v[m] = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,8 +107,8 @@ def _tree_problems(k: Sequence[int], a: Sequence[float], n: int) -> list[str]:
         problems.append(f"branch exponents must be nonnegative integers, got {tuple(k)}")
     if sum(k) != n:
         problems.append(f"branch exponents sum to {sum(k)}, expected {n}")
-    if any(x < 0 for x in a):
-        problems.append(f"layer variances must be nonnegative, got {tuple(a)}")
+    if not all(math.isfinite(x) and x >= 0 for x in a):
+        problems.append(f"layer variances must be finite and nonnegative, got {tuple(a)}")
     if a and abs(sum(a) - 1.0) > VARIANCE_TOL:
         problems.append(f"layer variances sum to {sum(a)!r}, expected 1")
     return problems
@@ -263,16 +264,6 @@ def check_lift_covariance(lift: TreeLift, tolerance: float = 1e-12) -> LiftCheck
     )
 
 
-def lift_energies(lift: TreeLift, source_energies: np.ndarray) -> np.ndarray:
-    """Pull a source draw back along the lift's blockwise projection."""
-    src = np.asarray(source_energies, dtype=float)
-    if src.shape != (1 << lift.source.n_spins,):
-        raise DimensionMismatch(
-            f"expected {1 << lift.source.n_spins} energies, got {src.shape}"
-        )
-    return src[lift.projection_map()]
-
-
 def parse_tree_file(text: str) -> GremTree:
     """Parse the plain-text tree format: 'm n' / exponents / variances."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
@@ -294,13 +285,3 @@ def parse_tree_file(text: str) -> GremTree:
             f"expected {m} exponents and variances, got {len(exponents)} and {len(variances)}"
         )
     return validate_tree(exponents, variances, n)
-
-
-def format_tree_file(tree: GremTree) -> str:
-    return "\n".join(
-        [
-            f"{tree.n_layers} {tree.n_spins}",
-            " ".join(str(k) for k in tree.exponents),
-            " ".join(repr(a) for a in tree.variances),
-        ]
-    ) + "\n"

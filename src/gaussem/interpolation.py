@@ -47,7 +47,7 @@ from . import audit as audit_mod
 from .disorder import JointDraw, SeedPolicy, TripleSampler
 from .errors import ValidationError
 from .models import CovarianceModel
-from .spins import CoordinatePartition, SpinConfig
+from .spins import CoordinatePartition
 from .thermo import LN2, QuenchedEstimate, mean_and_se
 from .util import log_mean_exp, pmap
 
@@ -72,19 +72,6 @@ def blend_scales(partition: CoordinatePartition, beta: float, ts) -> np.ndarray:
 def _logits(triple: JointDraw, s0, s1, s2) -> np.ndarray:
     """-beta * H(., t) over all configurations from the _scales of t, scalars folded first."""
     return s0 * triple.full.energies + s1 * triple.lift1.energies + s2 * triple.lift2.energies
-
-
-def interp_hamiltonian(triple: JointDraw, sigma: SpinConfig, t: float) -> float:
-    """Blended Hamiltonian of one configuration (beta-free)."""
-    if sigma.n != triple.partition.n:
-        raise ValidationError(f"configuration size {sigma.n} != system size {triple.partition.n}")
-    s0, s1, s2 = _scales(triple.partition, 1.0, t)
-    i = sigma.bits
-    return -(
-        s0 * float(triple.full.energies[i])
-        + s1 * float(triple.lift1.energies[i])
-        + s2 * float(triple.lift2.energies[i])
-    )
 
 
 def log_partition_t(triple: JointDraw, beta: float, t: float) -> float:
@@ -117,8 +104,6 @@ class _DerivativeMachine:
                  beta: float):
         if beta < 0:
             raise ValidationError(f"beta must be >= 0, got {beta!r}")
-        self.model = model
-        self.partition = partition
         self.beta = beta
         self.chars, self.coef = audit_mod.gap_expansion(model, partition)
         self.sampler = TripleSampler(model, partition)
@@ -128,8 +113,18 @@ class _DerivativeMachine:
         m = TwoReplicaGibbs(triple, scales).single @ self.chars
         return -(self.beta**2 / 2.0) * ((m * m) @ self.coef)
 
-    def alpha_of_draw(self, triple: JointDraw, t: float) -> float:
-        return log_partition_t(triple, self.beta, t) / self.partition.n
+
+def _derivative_table(machine: _DerivativeMachine, label: str, scales: np.ndarray,
+                      samples: int, seeds: SeedPolicy, threads: int) -> np.ndarray:
+    """(samples, len(ts)) derivatives of draws 0..samples-1 of ``label``; ts as in ``scales``.
+
+    Each draw gives its whole row in one call, so only the table is kept,
+    not the draws.
+    """
+    def row(i: int) -> np.ndarray:
+        return machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), scales)
+
+    return np.array(pmap(row, range(samples), threads)).reshape(samples, scales.shape[1])
 
 
 def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
@@ -145,13 +140,9 @@ def derivative_estimator(model: CovarianceModel, partition: CoordinatePartition,
     label = experiment or (
         f"deriv|{model.spec_string()}|mask={partition.mask}|beta={beta!r}|t={t!r}"
     )
-    scales = blend_scales(partition, beta, [t])
-
-    def one(i: int) -> float:
-        return float(machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), scales)[0])
-
-    vals = np.array(pmap(one, range(samples), threads))
-    mean, se = mean_and_se(vals)
+    table = _derivative_table(machine, label, blend_scales(partition, beta, [t]),
+                              samples, seeds, threads)
+    mean, se = mean_and_se(table[:, 0])
     return QuenchedEstimate(mean, se, samples, beta, partition.n, "dalpha/dt")
 
 
@@ -179,16 +170,18 @@ def finite_difference_check(model: CovarianceModel, partition: CoordinatePartiti
     """
     if not (0.0 < t - h and t + h < 1.0):
         raise ValidationError(f"need 0 < t-h and t+h < 1, got t={t!r}, h={h!r}")
-    machine = _DerivativeMachine(model, partition, beta)
+    sampler = TripleSampler(model, partition)
     label = f"fd|{model.spec_string()}|mask={partition.mask}|beta={beta!r}|t={t!r}|h={h!r}"
+    n = partition.n
 
     def one(i: int) -> float:
-        triple = machine.sampler.draw(seeds, label, i)
-        return (machine.alpha_of_draw(triple, t + h) - machine.alpha_of_draw(triple, t - h)) / (2 * h)
+        triple = sampler.draw(seeds, label, i)
+        return (log_partition_t(triple, beta, t + h) / n
+                - log_partition_t(triple, beta, t - h) / n) / (2 * h)
 
     vals = np.array(pmap(one, range(samples), threads))
     mean, se = mean_and_se(vals)
-    fd = QuenchedEstimate(mean, se, samples, beta, partition.n, "dalpha/dt (central diff)")
+    fd = QuenchedEstimate(mean, se, samples, beta, n, "dalpha/dt (central diff)")
     est = derivative_estimator(model, partition, beta, t, samples, seeds, threads=threads)
     combined = math.sqrt(fd.std_error**2 + est.std_error**2)
     return DerivativeComparison(
@@ -217,20 +210,12 @@ class MonotonicityScan:
 def monotonicity_scan(model: CovarianceModel, partition: CoordinatePartition,
                       beta: float, t_grid, samples: int, seeds: SeedPolicy,
                       threads: int = 1) -> MonotonicityScan:
-    """Derivative estimates across a t grid; draws are shared across the grid.
-
-    Each draw gives its whole row of derivatives in one call, so only the
-    (samples, len(t_grid)) value table is kept, not the draws.
-    """
+    """Derivative estimates across a t grid; draws are shared across the grid."""
     machine = _DerivativeMachine(model, partition, beta)
     label = f"scan|{model.spec_string()}|mask={partition.mask}|beta={beta!r}"
     ts = [float(t) for t in t_grid]
-    scales = blend_scales(partition, beta, ts)
-
-    def row(i: int) -> np.ndarray:
-        return machine.derivatives_of_draw(machine.sampler.draw(seeds, label, i), scales)
-
-    table = np.array(pmap(row, range(samples), threads)).reshape(samples, len(ts))
+    table = _derivative_table(machine, label, blend_scales(partition, beta, ts),
+                              samples, seeds, threads)
     points = []
     for t, vals in zip(ts, np.ascontiguousarray(table.T)):
         mean, se = mean_and_se(vals)

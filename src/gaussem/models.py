@@ -10,8 +10,11 @@ K[sigma XOR tau]; dense matrices and condition gaps are read from it.
 Overlap models and the REM depend on a pair only through its disagreement
 count d, and ``count_kernel`` gives that covariance exactly, one Fraction per
 d = 0..n; the exact condition audit reads nothing else.
-Models with an explicit coupling expansion expose the linear map from
-i.i.d. standard Gaussians to the energy vector via ``coupling_structure``.
+Overlap and tree models expose the linear map from i.i.d. standard
+Gaussians to the energy vector via ``coupling_structure``: its coupling
+count, the dense map as a small-n oracle and, for overlap models, the
+compact character form the sampler uses.  The REM has no such map; its
+sampler draws the 2**n energies directly.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 class CouplingStructure:
-    """Independent Gaussian couplings plus the linear map to the energy vector.
+    """The number of independent Gaussian couplings and the linear map to the energies.
 
     ``weight_matrix`` is the dense (2**n, n_couplings) map W with E = W @ g.
     Overlap models also carry the compact form ``(X, idx, coef)`` of the
@@ -54,20 +57,13 @@ class CouplingStructure:
     Samplers use the compact form, so the dense map is only a small-n oracle.
     """
 
-    def __init__(self, description: str, n: int, groups: tuple[tuple[str, int], ...],
-                 build: Callable[[], np.ndarray],
+    def __init__(self, n_couplings: int, build: Callable[[], np.ndarray],
                  build_compact: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
                  | None = None):
-        self.description = description
-        self.n = n
-        self.groups = groups
+        self.n_couplings = n_couplings
         self._build = build
         self._build_compact = build_compact
         self._matrix: np.ndarray | None = None
-
-    @property
-    def n_couplings(self) -> int:
-        return sum(count for _, count in self.groups)
 
     def weight_matrix(self) -> np.ndarray:
         """Dense (2**n, n_couplings) map W with E = W @ g, g ~ N(0, I)."""
@@ -78,11 +74,8 @@ class CouplingStructure:
     def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X, idx, coef) with W[:, j] = coef[j] * X[:, idx[j]]; see the class docstring."""
         if self._build_compact is None:
-            raise UnsupportedModel(f"{self.description} has no character form")
+            raise UnsupportedModel("tree coupling maps have no character form")
         return self._build_compact()
-
-    def __repr__(self) -> str:
-        return f"CouplingStructure({self.description!r}, n={self.n}, couplings={self.n_couplings})"
 
 
 def _tensor_rows(signs: np.ndarray, p: int) -> np.ndarray:
@@ -303,11 +296,8 @@ class _OverlapPolynomialModel(CovarianceModel):
             signs = walsh_characters(n, 1 << np.arange(n))
             return np.hstack([scale * _tensor_rows(signs, p) for p, scale in scales.items()])
 
-        groups = tuple((f"J[i1..i{p}] scaled by sqrt(w_{p}) n**(-{p}/2)", n**p) for p in scales)
-        return CouplingStructure(
-            "E = sum_p sqrt(w_p) n**(-p/2) sum J[i1..ip] s_i1..s_ip", n, groups, build,
-            lambda: _character_form(n, scales, self.characters),
-        )
+        return CouplingStructure(sum(n**p for p in scales), build,
+                                 lambda: _character_form(n, scales, self.characters))
 
 
 class SKModel(_OverlapPolynomialModel):
@@ -368,10 +358,6 @@ class MixedModel(_OverlapPolynomialModel):
             raise ValidationError("; ".join(problems))
         self.orders = clean
 
-    @property
-    def weights(self) -> dict[int, Fraction]:
-        return self.orders
-
     def at_size(self, n: int) -> "MixedModel":
         return MixedModel(n, self.orders)
 
@@ -404,19 +390,6 @@ class REMModel(CovarianceModel):
 
     def at_size(self, n: int) -> "REMModel":
         return REMModel(n)
-
-    def coupling_structure(self) -> CouplingStructure:
-        n = self.n
-
-        def build() -> np.ndarray:
-            if n > MATRIX_CAP:
-                raise ResourceCapExceeded(f"identity coupling map too large at n={n}")
-            return np.eye(1 << n)
-
-        return CouplingStructure(
-            f"{1 << n} independent unit couplings, one per configuration",
-            n, (("per-configuration", 1 << n),), build,
-        )
 
     def spec_string(self) -> str:
         return "rem"
@@ -454,14 +427,8 @@ class GREMModel(CovarianceModel):
 
     def coupling_structure(self) -> CouplingStructure:
         tree = self.tree
-        groups = tuple(
-            (f"layer {i + 1} (var {a!r})", count)
-            for i, (count, a) in enumerate(zip(tree.branch_counts, tree.variances))
-        )
-        return CouplingStructure(
-            "one coupling per branch, scaled by sqrt(layer variance)",
-            self.n, groups, lambda: grem_mod.branch_weight_matrix(tree),
-        )
+        return CouplingStructure(sum(tree.branch_counts),
+                                 lambda: grem_mod.branch_weight_matrix(tree))
 
     def spec_string(self) -> str:
         return self.tree.spec_string()
@@ -486,6 +453,8 @@ class CustomModel(CovarianceModel):
         if 1 << n != dim:
             raise ValidationError(f"matrix dimension {dim} is not a power of two")
         super().__init__(n)
+        if not np.isfinite(m).all():
+            raise ValidationError("covariance matrix has non-finite entries")
         if np.abs(m - m.T).max() > 1e-12:
             raise ValidationError("covariance matrix is not symmetric within 1e-12")
         if np.abs(m.diagonal() - 1.0).max() > 1e-9:

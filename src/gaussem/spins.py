@@ -144,17 +144,6 @@ def project(sigma: SpinConfig, partition: CoordinatePartition, block: int) -> Sp
     return SpinConfig(partition.block_size(block), extract_bits(sigma.bits, m))
 
 
-def combine(partition: CoordinatePartition, block1: SpinConfig, block2: SpinConfig) -> SpinConfig:
-    """Reassemble a full configuration from its two projections."""
-    if block1.n != partition.n1 or block2.n != partition.n2:
-        raise DimensionMismatch(
-            f"block sizes ({block1.n}, {block2.n}) do not match partition "
-            f"({partition.n1}, {partition.n2})"
-        )
-    bits = deposit_bits(block1.bits, partition.mask) | deposit_bits(block2.bits, partition.mask2)
-    return SpinConfig(partition.n, bits)
-
-
 def overlap(sigma: SpinConfig, tau: SpinConfig) -> Fraction:
     """Normalized inner product (agreements - disagreements) / n, exact."""
     if sigma.n != tau.n:

@@ -13,7 +13,7 @@ import pytest
 
 from gaussem import cli, thermo
 from gaussem.cli import build_parser, main, parse_model
-from gaussem.disorder import DisorderDraw, SeedPolicy, make_sampler, write_draws
+from gaussem.disorder import SeedPolicy, make_sampler, write_draws
 from gaussem.errors import ValidationError
 from gaussem.models import GREMModel, MixedModel, PSpinModel, REMModel, SKModel
 
@@ -43,7 +43,7 @@ def test_parse_model_kinds(tree_file):
     assert isinstance(p, PSpinModel) and p.p == 3
     m = parse_model("mixed:2=0.5,4=0.5", 4)
     assert isinstance(m, MixedModel)
-    assert m.weights == {2: Fraction(1, 2), 4: Fraction(1, 2)}
+    assert m.orders == {2: Fraction(1, 2), 4: Fraction(1, 2)}
     g = parse_model(f"grem:{tree_file.name}", None, base=tree_file.parent)
     assert isinstance(g, GREMModel) and g.n == 2
 
@@ -220,10 +220,7 @@ def test_sample_dump_equals_per_draw_streams(tmp_path):
     model, seeds = SKModel(4), SeedPolicy(9)
     sampler = make_sampler(model)
     expected = io.StringIO()
-    write_draws(expected, [
-        DisorderDraw(4, sampler.sample(seeds.stream("dump", i)), ("sk", 9, i))
-        for i in range(6)
-    ])
+    write_draws(expected, [sampler.sample(seeds.stream("dump", i)) for i in range(6)])
     assert out.read_text() == expected.getvalue()
 
 
@@ -390,3 +387,25 @@ def test_check_caps(args, status, message, tmp_path, capsys):
     else:
         errors = [ln for ln in err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--model", "grem:nan_tree.txt"],
+    ["grem-verify", "--tree", "nan_tree.txt"],
+    ["interp", "--model", "grem:nan_tree.txt", "--n1", "1", "--beta", "1"],
+    ["alpha", "--model", "grem:nan_tree.txt", "--beta", "1"],
+    ["psd", "--model", "custom:nan_matrix.txt"],
+    ["grem-verify", "--tree", "tree.txt", "--split", "a,b,c"],
+    ["grem-verify", "--tree", "tree.txt", "--split", "1,,1"],
+])
+def test_invalid_files_and_splits_exit_two_with_one_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan_tree.txt").write_text("2 2\n1 1\nnan 1.0\n")
+    (tmp_path / "nan_matrix.txt").write_text(
+        "4\n1 nan 0 0\nnan 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    (tmp_path / "tree.txt").write_text(TREE_TEXT)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].startswith("gaussem: error:")

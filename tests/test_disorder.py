@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -11,13 +10,9 @@ from gaussem.disorder import (
     SeedPolicy,
     StructuralSampler,
     TripleSampler,
-    draw_disorder,
-    lift,
     make_sampler,
-    read_draws,
-    write_draws,
 )
-from gaussem.errors import DimensionMismatch, ResourceCapExceeded, ValidationError
+from gaussem.errors import ResourceCapExceeded, ValidationError
 from gaussem.grem import validate_tree
 from gaussem.models import (
     CouplingStructure,
@@ -90,7 +85,7 @@ def test_streams_equal_stream_bit_for_bit(data):
 
 def test_draw_shape_validation():
     with pytest.raises(ValidationError):
-        DisorderDraw(2, np.zeros(3), ("x", 0, 0))
+        DisorderDraw(2, np.zeros(3))
 
 
 def test_structural_rem_is_iid():
@@ -201,31 +196,6 @@ def test_module_level_sampling_helpers():
     np.testing.assert_array_equal(e1, e2)
 
 
-def test_lift_fiber_constancy_and_variance():
-    p = CoordinatePartition.canonical(2, 1)
-    source = draw_disorder(SKModel(1), POLICY, "liftsrc", 0)
-    lifted = lift(source, p, 1)
-    # constant on fibers of the projection: configs 00,10 share block-1 value 0
-    assert lifted.energies[0b00] == lifted.energies[0b10] == source.energies[0]
-    assert lifted.energies[0b01] == lifted.energies[0b11] == source.energies[1]
-    with pytest.raises(DimensionMismatch):
-        lift(source, CoordinatePartition.canonical(4, 2), 1)
-
-
-def test_lifted_rem_covariance():
-    # independent-energies family on 2 spins lifted into 4 spins
-    p = CoordinatePartition.canonical(4, 2)
-    model = REMModel(2)
-    m = 20000
-    draws = np.stack([
-        lift(draw_disorder(model, POLICY, "liftrem", i), p, 1).energies for i in range(m)
-    ])
-    amap = extract_map(4, p.mask)
-    expected = np.eye(4)[amap[:, None], amap[None, :]]
-    np.testing.assert_allclose(draws.T @ draws / m, expected, atol=5 / np.sqrt(m))
-    assert abs(draws[:, 0].var() - 1.0) < 0.05  # lifting preserves unit variance
-
-
 def test_joint_triple_independence_and_self_covariance():
     model = SKModel(4)
     p = CoordinatePartition.canonical(4, 2)
@@ -253,14 +223,3 @@ def test_joint_triple_independence_and_self_covariance():
 def test_joint_triple_convenience():
     tr = TripleSampler(SKModel(2), CoordinatePartition.canonical(2, 1)).draw(POLICY, "conv", 0)
     assert tr.full.n == 2 and tr.sub1.n == 1 and tr.lift1.n == 2
-
-
-def test_draw_dump_round_trip():
-    draws = [draw_disorder(REMModel(3), POLICY, "dump", i) for i in range(4)]
-    buf = io.StringIO()
-    write_draws(buf, draws)
-    buf.seek(0)
-    back = read_draws(buf, 3)
-    assert len(back) == 4
-    for d, b in zip(draws, back):
-        np.testing.assert_array_equal(d.energies, b)

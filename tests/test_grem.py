@@ -10,9 +10,7 @@ from gaussem.grem import (
     branch_weight_matrix,
     TreeLift,
     check_lift_covariance,
-    format_tree_file,
     grem_covariance,
-    lift_energies,
     merge_level,
     merge_level_matrix,
     parse_tree_file,
@@ -41,6 +39,9 @@ def test_validate_tree_rejects_each_constraint():
         validate_tree([1, 1], [0.7, 0.7], 2)
     with pytest.raises(ValidationError, match="nonnegative"):
         validate_tree([1, 1], [1.5, -0.5], 2)
+    # NaN passes both x < 0 and the sum test, so finiteness is checked on its own
+    with pytest.raises(ValidationError, match="finite"):
+        validate_tree([1, 1], [float("nan"), 1.0], 2)
     # several problems are reported together
     with pytest.raises(ValidationError, match="sum to 3.*variances sum"):
         validate_tree([2, 1], [0.7, 0.7], 4)
@@ -146,8 +147,7 @@ def test_single_layer_tree_moments_match_independent_model():
 def test_identity_lift_is_exact():
     tree = validate_tree([1, 1], [0.6, 0.4], 2)
     lift = TreeLift(tree, (1, 1))
-    e = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(lift_energies(lift, e), e)
+    np.testing.assert_array_equal(lift.projection_map(), np.arange(4))
     rep = check_lift_covariance(lift)
     assert rep.ok and rep.max_violation == 0.0
 
@@ -225,8 +225,7 @@ def test_condition_holds_for_every_partition_small_trees():
 
 def test_tree_file_round_trip(tmp_path):
     tree = validate_tree([1, 2], [0.25, 0.75], 3)
-    text = format_tree_file(tree)
-    assert parse_tree_file(text) == tree
+    assert parse_tree_file("# a comment\n2 3\n1 2\n\n0.25 0.75\n") == tree
     with pytest.raises(ValidationError):
         parse_tree_file("1 2\n2\n")
     with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ from test_audit import random_gap_model
 
 from gaussem import audit
 from gaussem.audit import gap_matrix
-from gaussem.disorder import SeedPolicy, TripleSampler
+from gaussem.disorder import DisorderDraw, JointDraw, SeedPolicy, TripleSampler
 from gaussem.errors import ValidationError
 from gaussem.grem import validate_tree
 from gaussem.interpolation import (
@@ -16,12 +16,11 @@ from gaussem.interpolation import (
     blend_scales,
     derivative_estimator,
     finite_difference_check,
-    interp_hamiltonian,
     log_partition_t,
     monotonicity_scan,
 )
 from gaussem.models import CustomModel, GREMModel, PSpinModel, REMModel, SKModel
-from gaussem.spins import CoordinatePartition, SpinConfig
+from gaussem.spins import CoordinatePartition
 from gaussem.thermo import log_partition, quenched_alpha
 
 POLICY = SeedPolicy(555001)
@@ -37,32 +36,6 @@ def test_interpolation_point_weights():
     for t in (-0.1, 1.5):
         with pytest.raises(ValidationError):
             log_partition_t(tr, 1.0, t)
-
-
-def test_hamiltonian_endpoints_and_zero_energies():
-    model = SKModel(4)
-    p = CoordinatePartition.canonical(4, 2)
-    sampler = TripleSampler(model, p)
-    tr = sampler.draw(POLICY, "ham", 0)
-    s = SpinConfig.from_string("+-+-")
-    n = 4
-    at1 = interp_hamiltonian(tr, s, 1.0)
-    assert at1 == pytest.approx(-math.sqrt(n) * tr.full.energies[s.bits], abs=1e-12)
-    at0 = interp_hamiltonian(tr, s, 0.0)
-    expected = -(
-        math.sqrt(2) * tr.lift1.energies[s.bits] + math.sqrt(2) * tr.lift2.energies[s.bits]
-    )
-    assert at0 == pytest.approx(expected, abs=1e-12)
-    zero = type(tr)(
-        partition=tr.partition,
-        full=tr.full.__class__(4, np.zeros(16), ("z", 0, 0)),
-        sub1=tr.sub1.__class__(2, np.zeros(4), ("z", 0, 0)),
-        sub2=tr.sub2.__class__(2, np.zeros(4), ("z", 0, 0)),
-        lift1=tr.lift1.__class__(4, np.zeros(16), ("z", 0, 0)),
-        lift2=tr.lift2.__class__(4, np.zeros(16), ("z", 0, 0)),
-    )
-    for t in (0.0, 0.37, 1.0):
-        assert interp_hamiltonian(zero, s, t) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -89,6 +62,12 @@ def test_log_partition_t_beta_zero():
     tr = TripleSampler(SKModel(3), CoordinatePartition.canonical(3, 1)).draw(POLICY, "b0", 0)
     for t in (0.0, 0.5, 1.0):
         assert log_partition_t(tr, 0.0, t) == pytest.approx(3 * math.log(2), abs=1e-12)
+    # a zero-energy triple is flat at every beta and t
+    zero = JointDraw(tr.partition, DisorderDraw(3, np.zeros(8)), DisorderDraw(1, np.zeros(2)),
+                     DisorderDraw(2, np.zeros(4)), DisorderDraw(3, np.zeros(8)),
+                     DisorderDraw(3, np.zeros(8)))
+    for t in (0.0, 0.37, 1.0):
+        assert log_partition_t(zero, 1.3, t) == 3 * math.log(2)
 
 
 def test_two_replica_weights_normalized():

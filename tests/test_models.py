@@ -109,7 +109,6 @@ def test_mixed_concentrated_reproduces_pure_order():
 
 def test_coupling_counts():
     assert SKModel(2).coupling_structure().n_couplings == 4
-    assert REMModel(3).coupling_structure().n_couplings == 8
     mixed = MixedModel(2, {2: Fraction(1, 2), 4: Fraction(1, 2)})
     assert mixed.coupling_structure().n_couplings == 4 + 16
 
@@ -143,7 +142,6 @@ def test_mixed_unit_self_variance_symbolically():
         SKModel(6),
         PSpinModel(5, 3),
         MixedModel(4, {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}),
-        REMModel(5),
         GREMModel(validate_tree([2, 2, 2], [0.5, 0.3, 0.2], 6)),
     ],
 )
@@ -231,6 +229,8 @@ def test_custom_model_checks():
         CustomModel(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal
     with pytest.raises(ValidationError):
         CustomModel(np.ones((3, 3)))  # not a power of two
+    with pytest.raises(ValidationError, match="non-finite"):
+        CustomModel(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_custom_submodel_requires_family():

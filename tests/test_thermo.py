@@ -43,7 +43,7 @@ def test_quadrature_oracle_self_consistency():
 def draw_of(energies):
     e = np.asarray(energies, dtype=float)
     n = e.size.bit_length() - 1
-    return DisorderDraw(n, e, ("test", 0, 0))
+    return DisorderDraw(n, e)
 
 
 def test_log_partition_values():
