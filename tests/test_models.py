@@ -142,6 +142,7 @@ def test_mixed_unit_self_variance_symbolically():
         SKModel(6),
         PSpinModel(5, 3),
         MixedModel(4, {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}),
+        GREMModel(validate_tree([5], [1.0], 5)),  # one level: the REM covariance
         GREMModel(validate_tree([2, 2, 2], [0.5, 0.3, 0.2], 6)),
     ],
 )
